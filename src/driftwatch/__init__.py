@@ -2,10 +2,10 @@
 
 Univariate streams go through the probability-weighted moving-average
 detector in ``pewma``; multivariate streams through the online Gaussian
-model in ``detector``, whose covariance factor and inverse are maintained
-incrementally by the kernels in ``linalg``. ``harness`` holds the metric,
-the experiment protocols, and the synthetic generators; ``cli`` exposes
-everything as the ``driftwatch`` command.
+model in ``detector``, whose covariance, inverse and log-determinant are
+updated in O(m²) per point with the kernels in ``linalg``. ``harness``
+holds the metric, the experiment protocols, and the synthetic generators;
+``cli`` exposes everything as the ``driftwatch`` command.
 """
 
 from .errors import (

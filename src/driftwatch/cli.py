@@ -18,7 +18,16 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from .detector import auto_tau, fit_static, load_model, save_model, score, update_online
+from .detector import (
+    DEFAULT_JITTER,
+    DEFAULT_REFACTOR_EVERY,
+    auto_tau,
+    fit_static,
+    load_model,
+    save_model,
+    score,
+    update_online,
+)
 from .errors import InsufficientDataError, InvalidInputError
 from .harness import (
     SHIFT_KINDS,
@@ -39,20 +48,20 @@ EXIT_FATAL = 2
 
 @dataclass
 class DetectorConfig:
-    """Flag bundle for ``detect``; ``tau = None`` means the multivariate
-    threshold is recomputed per point from the current model (density at
-    Mahalanobis distance 3), and 0.0044 in univariate mode."""
+    """Flag bundle for ``detect``, defaulting to the library's defaults;
+    ``tau = None`` means the multivariate threshold is recomputed per point
+    from the current model (density at Mahalanobis distance 3), and
+    ``PewmaParams``' default tau in univariate mode."""
 
     mode: str = "univariate"
-    alpha: float = 0.98
-    beta: float = 0.98
+    alpha: float = PewmaParams.alpha
+    beta: float = PewmaParams.beta
     tau: float | None = None
-    warmup_T: int = 30
+    warmup_T: int = PewmaParams.warmup_T
     static_count_points: int = 100
-    jitter: float = 1e-10
-    z_mode: str = "whitened"
-    refactor_every: int = 256
-    sigma_floor: float = 1e-8
+    jitter: float = DEFAULT_JITTER
+    refactor_every: int = DEFAULT_REFACTOR_EVERY
+    sigma_floor: float = PewmaParams.sigma_floor
 
 
 def _fmt(value: float) -> str:
@@ -122,7 +131,7 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
         params = PewmaParams(
             alpha=config.alpha,
             beta=config.beta,
-            tau=config.tau if config.tau is not None else 0.0044,
+            tau=PewmaParams.tau if config.tau is None else config.tau,
             warmup_T=config.warmup_T,
             sigma_floor=config.sigma_floor,
         )
@@ -182,7 +191,7 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
             tau = config.tau if config.tau is not None else auto_tau(model)
             verdict = score(model, x, tau)
             emit(index, values, verdict.density, verdict.log_density, verdict.is_anomaly)
-            model = update_online(model, x, z_mode=config.z_mode)
+            model = update_online(model, x)
         index += 1
 
     if checkpoint is not None and model is not None:
@@ -198,24 +207,25 @@ def main():
 @main.command()
 @click.argument("input_file", type=click.File("r"), default="-", required=False)
 @click.option("--mode", type=click.Choice(["univariate", "multivariate"]), default="univariate")
-@click.option("--alpha", type=float, default=0.98, show_default=True)
-@click.option("--beta", type=float, default=0.98, show_default=True)
-@click.option("--tau", type=float, default=None, help="Density threshold; omit for 0.0044 "
-              "(univariate) or the per-point 3-sigma density (multivariate).")
-@click.option("--warmup", "warmup_t", type=int, default=30, show_default=True)
-@click.option("--static-points", type=int, default=100, show_default=True,
-              help="Points buffered for the multivariate static fit.")
-@click.option("--jitter", type=float, default=1e-10, show_default=True)
-@click.option("--z-mode", type=click.Choice(["whitened", "raw"]), default="whitened")
-@click.option("--refactor-every", type=int, default=256, show_default=True)
-@click.option("--sigma-floor", type=float, default=1e-8, show_default=True)
+@click.option("--alpha", type=float, default=DetectorConfig.alpha, show_default=True)
+@click.option("--beta", type=float, default=DetectorConfig.beta, show_default=True)
+@click.option("--tau", type=float, default=None,
+              help=f"Density threshold; omit for {PewmaParams.tau:g} (univariate) "
+              "or the per-point 3-sigma density (multivariate).")
+@click.option("--warmup", "warmup_t", type=int, default=DetectorConfig.warmup_T, show_default=True)
+@click.option("--static-points", type=int, default=DetectorConfig.static_count_points,
+              show_default=True, help="Points buffered for the multivariate static fit.")
+@click.option("--jitter", type=float, default=DetectorConfig.jitter, show_default=True)
+@click.option("--refactor-every", type=int, default=DetectorConfig.refactor_every,
+              show_default=True)
+@click.option("--sigma-floor", type=float, default=DetectorConfig.sigma_floor, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
 @click.option("--header", is_flag=True, help="Skip one leading input line.")
 @click.option("--checkpoint", type=click.Path(), default=None,
               help="Model checkpoint to resume from and save to (multivariate only).")
 @click.pass_context
 def detect(ctx, input_file, mode, alpha, beta, tau, warmup_t, static_points, jitter,
-           z_mode, refactor_every, sigma_floor, fmt, header, checkpoint):
+           refactor_every, sigma_floor, fmt, header, checkpoint):
     """Score a stream of points, one verdict line per scored point."""
     if checkpoint is not None and mode != "multivariate":
         raise click.UsageError("--checkpoint requires --mode multivariate")
@@ -227,7 +237,6 @@ def detect(ctx, input_file, mode, alpha, beta, tau, warmup_t, static_points, jit
         warmup_T=warmup_t,
         static_count_points=static_points,
         jitter=jitter,
-        z_mode=z_mode,
         refactor_every=refactor_every,
         sigma_floor=sigma_floor,
     )
@@ -284,7 +293,7 @@ def simulate(kind, at, magnitude, ramp, count, seed, dim, fmt):
 @click.option("--dim", type=int, default=15, show_default=True)
 @click.option("--seeds", type=str, default="0", show_default=True,
               help="Comma-separated list of generator seeds.")
-@click.option("--jitter", type=float, default=1e-10, show_default=True)
+@click.option("--jitter", type=float, default=DEFAULT_JITTER, show_default=True)
 def experiment(which, count, dim, seeds, jitter):
     """Run a static-vs-online covariance experiment, CSV report to stdout."""
     if count < 5 * (dim + 1):

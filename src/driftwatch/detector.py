@@ -1,13 +1,15 @@
 """Multivariate online Gaussian anomaly detection.
 
-A model is fit on an initial batch (mean, covariance as a lower Cholesky
-factor, inverse covariance), then updated point by point: the factor and
-the inverse are maintained incrementally through the rank-one kernels in
-``linalg``, the mean through the exact incremental recurrence, and points
-are classified by thresholding the Gaussian density. ``update_many``
-absorbs a whole batch in closed form, for callers that never score between
-updates. Models are values; both update functions return a new model and
-never mutate their argument.
+A model is fit on an initial batch (mean, covariance, inverse covariance,
+log-determinant), then updated point by point in O(m²): the covariance by
+its rank-one blend, the inverse by the Sherman-Morrison kernel in
+``linalg``, the log-determinant by the matrix determinant lemma, and the
+mean by the exact incremental recurrence. The inverse and log-determinant
+are rebuilt exactly from a Cholesky factorization when drift shows or
+every ``refactor_every`` updates. Points are classified by thresholding
+the Gaussian density. ``update_many`` absorbs a whole batch in closed
+form, for callers that never score between updates. Models are values;
+both update functions return a new model and never mutate their argument.
 """
 
 from __future__ import annotations
@@ -20,29 +22,35 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .errors import InsufficientDataError, InvalidFactorError, InvalidInputError
-from .linalg import CovBlend
+from .errors import (
+    InsufficientDataError,
+    InvalidInputError,
+    NotPositiveDefiniteError,
+    SingularUpdateError,
+)
+from .linalg import DEFAULT_JITTER, CovBlend
 
 LOG_2PI = math.log(2.0 * math.pi)
 DRIFT_LIMIT = 1e-4
 DEFAULT_REFACTOR_EVERY = 256
-Z_MODES = ("whitened", "raw")
+CHECKPOINT_VERSION = "driftwatch-model 2"
 
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """Gaussian stream model: N(mu, C) with C carried as factor @ factor.T.
+    """Gaussian stream model N(mu, C), with C carried as ``cov``.
 
-    ``cinv`` tracks C⁻¹ independently of the factor; ``log_det`` caches
-    log |C|. ``blend`` holds the forgetting weights applied per update, and
+    ``cov`` includes any jitter a factorization needed (the total is
+    ``jitter_used``). ``cinv`` tracks C⁻¹ and ``log_det`` tracks log |C|.
+    ``blend`` holds the forgetting weights applied per update, and
     ``updates_since_refactor`` counts rank-one inverse updates since the
-    inverse was last rebuilt exactly from the factor.
+    inverse and log-determinant were last rebuilt exactly.
     """
 
     m: int
     n: int
     mu: np.ndarray
-    factor: np.ndarray
+    cov: np.ndarray
     cinv: np.ndarray
     log_det: float
     blend: CovBlend
@@ -51,8 +59,8 @@ class GaussianModel:
     jitter_used: float = 0.0
 
     def covariance(self) -> np.ndarray:
-        """Expand the maintained factor into the full covariance matrix."""
-        return self.factor @ self.factor.T
+        """The carried covariance matrix."""
+        return self.cov
 
 
 @dataclass(frozen=True)
@@ -78,17 +86,29 @@ def derive_blend(n_static: int) -> CovBlend:
     return CovBlend(alpha=1.0 - c_cov, beta=c_cov)
 
 
+def _factorized(cov, jitter: float = DEFAULT_JITTER):
+    """``(cov, cinv, log_det, lam)`` from one Cholesky factorization of ``cov``.
+
+    The returned covariance is the symmetric matrix that was factorized,
+    ``lam * I`` included, so the inverse and log-determinant are exact for
+    it and a checkpoint of it reloads.
+    """
+    factor, lam = linalg.cholesky_factorize(cov, jitter)
+    cov = 0.5 * (cov + cov.T) + lam * np.eye(cov.shape[0])
+    return cov, linalg.inverse_from_factor(factor), linalg.log_det_from_factor(factor), lam
+
+
 def fit_static(
     data,
-    jitter: float = 1e-10,
+    jitter: float = DEFAULT_JITTER,
     refactor_every: int = DEFAULT_REFACTOR_EVERY,
 ) -> GaussianModel:
-    """Fit the model on the initial batch: mean, unbiased covariance, factor.
+    """Fit the model on the initial batch: mean, unbiased covariance, inverse.
 
     ``data`` is an (n, m) array (or a sequence of length-m vectors; plain
     1-D input is treated as n scalar samples). Requires n >= m + 1 so the
-    sample covariance has full rank. The inverse is built directly from the
-    factor, and the blend weights derive from n.
+    sample covariance has full rank. The inverse and log-determinant come
+    from a Cholesky factor, and the blend weights derive from n.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
@@ -103,36 +123,37 @@ def fit_static(
 
     mu = data.mean(axis=0)
     cov = np.atleast_2d(np.cov(data, rowvar=False, ddof=1))
-    factor, lam = linalg.cholesky_factorize(cov, jitter)
+    cov, cinv, log_det, lam = _factorized(cov, jitter)
     return GaussianModel(
         m=m,
         n=n,
         mu=mu,
-        factor=factor,
-        cinv=linalg.inverse_from_factor(factor),
-        log_det=linalg.log_det_from_factor(factor),
+        cov=cov,
+        cinv=cinv,
+        log_det=log_det,
         blend=derive_blend(n),
         refactor_every=refactor_every,
         jitter_used=lam,
     )
 
 
-def update_online(model: GaussianModel, x, z_mode: str = "whitened") -> GaussianModel:
+def update_online(model: GaussianModel, x) -> GaussianModel:
     """Absorb one point: blend the covariance, update the inverse and mean.
 
-    The residual d = x - mu is taken against the pre-update mean. In
-    ``whitened`` mode the rank-one direction is z = factor⁻¹ d, so the
-    blended covariance gains beta * d dᵀ (centered sample semantics); in
-    ``raw`` mode z is the incoming point itself, and the inverse update
-    uses v = factor @ z so both representations track the same matrix.
+    With the residual d = x - mu against the pre-update mean, w = C⁻¹ d and
+    q = dᵀ w, the covariance becomes C' = alpha C + beta d dᵀ, the inverse
+    follows by Sherman-Morrison, and the log-determinant by the matrix
+    determinant lemma, log |C'| = log |C| + m log alpha + log1p((beta/alpha) q).
+    All of it is O(m²).
 
-    A degenerate direction (x equal to the mean, to within norm² 1e-30)
-    updates only the mean and count. A failed inverse update, a drift check
-    above ``DRIFT_LIMIT``, or ``refactor_every`` accumulated updates all
-    rebuild the inverse exactly from the factor.
+    A degenerate residual (q below 1e-30, e.g. x at the mean) updates only
+    the mean and count. The inverse and log-determinant are rebuilt exactly
+    when the Sherman-Morrison denominator is unsafe, when the residual of
+    the pre-update pair along d, ‖C w - d‖∞ / ‖d‖∞, exceeds ``DRIFT_LIMIT``,
+    or after ``refactor_every`` rank-one updates. A point is refused, and
+    the model returned unchanged, when its blend would make the covariance
+    non-finite or a rebuild cannot factorize it (a huge but finite x).
     """
-    if z_mode not in Z_MODES:
-        raise InvalidInputError(f"z_mode must be one of {Z_MODES}, got {z_mode!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.m:
         raise InvalidInputError(f"expected a vector of length {model.m}, got shape {x.shape}")
@@ -140,50 +161,42 @@ def update_online(model: GaussianModel, x, z_mode: str = "whitened") -> Gaussian
         raise InvalidInputError("point contains non-finite entries")
 
     d = x - model.mu
-    if z_mode == "whitened":
-        z = np.empty_like(d)
-        linalg._forward_solve(model.factor, d, z)
-        v = d
-    else:
-        z = x
-        v = model.factor @ z
-
-    factor = model.factor
-    cinv = model.cinv
-    log_det = model.log_det
-    updates = model.updates_since_refactor
-    if float(z @ z) >= linalg.DEGENERATE_NORM_SQ:
-        factor, new_cinv, log_det, denom_ok, drift = linalg._paired_update(
-            model.factor, model.cinv, z, v, model.blend.alpha, model.blend.beta
-        )
-        if not denom_ok:
-            # Sherman-Morrison hit a vanishing denominator: fall back to an
-            # exact rebuild from the freshly updated factor.
-            cinv = linalg.inverse_from_factor(factor)
-            updates = 0
-        else:
-            updates += 1
-            if updates >= model.refactor_every or drift > DRIFT_LIMIT:
-                cinv = linalg.inverse_from_factor(factor)
-                updates = 0
-            else:
-                cinv = new_cinv
-
+    w = model.cinv @ d
+    q = float(d @ w)
     mu = (model.n * model.mu + x) / (model.n + 1)
+    if q < linalg.DEGENERATE_NORM_SQ:
+        return replace(model, n=model.n + 1, mu=mu)
+    alpha, beta = model.blend.alpha, model.blend.beta
+    cov = alpha * model.cov + beta * np.outer(d, d)
+    if not np.isfinite(cov).all():
+        return model
+
+    updates = model.updates_since_refactor + 1
+    drift = float(np.abs(model.cov @ w - d).max() / np.abs(d).max())
+    if updates < model.refactor_every and drift <= DRIFT_LIMIT:
+        try:
+            cinv = linalg.sherman_morrison_update(model.cinv, d, model.blend)
+        except SingularUpdateError:
+            pass
+        else:
+            log_det = model.log_det + model.m * math.log(alpha) + math.log1p(beta / alpha * q)
+            return replace(
+                model, n=model.n + 1, mu=mu, cov=cov, cinv=cinv, log_det=log_det,
+                updates_since_refactor=updates,
+            )
+    try:
+        cov, cinv, log_det, lam = _factorized(cov)
+    except NotPositiveDefiniteError:
+        return model
     return replace(
-        model,
-        n=model.n + 1,
-        mu=mu,
-        factor=factor,
-        cinv=cinv,
-        log_det=log_det,
-        updates_since_refactor=updates,
+        model, n=model.n + 1, mu=mu, cov=cov, cinv=cinv, log_det=log_det,
+        updates_since_refactor=0, jitter_used=model.jitter_used + lam,
     )
 
 
 def update_many(model: GaussianModel, xs) -> GaussianModel:
     """Absorb the rows of ``xs`` at once: the model that folding
-    ``update_online`` (whitened mode) over them gives, in closed form.
+    ``update_online`` over them gives, in closed form.
 
     The residuals d_j = x_j - mu_j are taken against the running mean of
     ``update_online``'s own recurrence, in the same order, so the means
@@ -192,15 +205,16 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
 
         C_K = alpha^K C_0 + sum_r beta alpha^(K-1-r) d_r d_rᵀ,
 
-    formed as one weighted product, then factorized once; the inverse is
-    rebuilt exactly from that factor and ``updates_since_refactor`` is 0.
+    formed as one weighted product, then factorized once; the inverse and
+    log-determinant are rebuilt exactly and ``updates_since_refactor`` is 0.
 
-    A residual is degenerate, and moves only the mean and count, when its
-    whitened norm² d_jᵀ C_0⁻¹ d_j against the *starting* inverse is below
-    1e-30. ``update_online`` whitens against the current factor instead, so
-    the two can differ only for residuals that are nonzero yet whiten below
-    about 1e-30; a point exactly at the running mean is skipped by both.
-    Any jitter the final factorization needs is added to ``jitter_used``.
+    A residual is degenerate, and moves only the mean and count, when
+    d_jᵀ C_0⁻¹ d_j against the *starting* inverse is below 1e-30.
+    ``update_online`` measures it against the current inverse instead, so
+    the two can differ only for residuals that are nonzero yet measure
+    below about 1e-30; a point exactly at the running mean is skipped by
+    both. Any jitter the final factorization needs is added to the
+    covariance and to ``jitter_used``.
 
     An empty batch returns the model unchanged. Rows that are non-finite or
     not of length m raise InvalidInputError, as in ``update_online``.
@@ -229,15 +243,14 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     # Row r carries weight beta * alpha^(K-1-r); scaling it by the square
     # root makes the sum one symmetric product.
     kept *= (math.sqrt(beta) * alpha ** (0.5 * np.arange(k - 1, -1, -1.0)))[:, None]
-    cov = alpha**k * model.covariance() + kept.T @ kept
-    factor, lam = linalg.cholesky_factorize(cov)
+    cov, cinv, log_det, lam = _factorized(alpha**k * model.cov + kept.T @ kept)
     return replace(
         model,
         n=n,
         mu=mu,
-        factor=factor,
-        cinv=linalg.inverse_from_factor(factor),
-        log_det=linalg.log_det_from_factor(factor),
+        cov=cov,
+        cinv=cinv,
+        log_det=log_det,
         updates_since_refactor=0,
         jitter_used=model.jitter_used + lam,
     )
@@ -286,9 +299,10 @@ def auto_tau(model: GaussianModel) -> float:
 
 # --- checkpoint serialization ------------------------------------------------
 #
-# Flat text format: one header line "m n", then the mean, then the factor
-# rows, then the inverse-covariance rows, one line each, entries separated
-# by single spaces with 17 significant digits (lossless for float64).
+# Flat text format: the version line, a header line "m n", then the mean,
+# then the covariance rows, then the inverse-covariance rows, one line
+# each, entries separated by single spaces with 17 significant digits
+# (lossless for float64).
 
 
 def _fmt_row(row) -> str:
@@ -301,9 +315,10 @@ def save_model(model: GaussianModel, dest) -> None:
         with open(dest, "w", encoding="ascii") as handle:
             save_model(model, handle)
         return
+    dest.write(CHECKPOINT_VERSION + "\n")
     dest.write(f"{model.m} {model.n}\n")
     dest.write(_fmt_row(model.mu) + "\n")
-    for row in model.factor:
+    for row in model.cov:
         dest.write(_fmt_row(row) + "\n")
     for row in model.cinv:
         dest.write(_fmt_row(row) + "\n")
@@ -312,26 +327,28 @@ def save_model(model: GaussianModel, dest) -> None:
 def load_model(src, refactor_every: int = DEFAULT_REFACTOR_EVERY) -> GaussianModel:
     """Read a checkpoint written by ``save_model``.
 
-    The log-determinant is recomputed from the stored factor, and the blend
-    weights are re-derived from the stored sample count (the checkpoint
-    format does not carry them separately).
+    Raises InvalidInputError unless the file starts with the current version
+    line, every value is finite, and the covariance is symmetric and
+    factorizes without jitter. The log-determinant is recomputed from that
+    factor, and the blend weights are re-derived from the stored sample
+    count (the checkpoint format does not carry them separately).
     """
     if isinstance(src, (str, os.PathLike)):
         with open(src, "r", encoding="ascii") as handle:
             return load_model(handle, refactor_every=refactor_every)
     lines = [line.strip() for line in src if line.strip()]
-    if not lines:
-        raise InvalidInputError("empty checkpoint")
-    header = lines[0].split()
+    if lines[:1] != [CHECKPOINT_VERSION]:
+        raise InvalidInputError(f"checkpoint does not start with {CHECKPOINT_VERSION!r}")
+    header = lines[1].split() if len(lines) > 1 else []
     if len(header) != 2:
-        raise InvalidInputError(f"malformed checkpoint header: {lines[0]!r}")
+        raise InvalidInputError("malformed checkpoint header")
     try:
         m, n = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise InvalidInputError(f"malformed checkpoint header: {lines[0]!r}") from exc
+        raise InvalidInputError(f"malformed checkpoint header: {lines[1]!r}") from exc
     if m < 1 or n < 1:
         raise InvalidInputError(f"checkpoint header out of range: m={m} n={n}")
-    expected = 1 + 1 + 2 * m
+    expected = 2 + 1 + 2 * m
     if len(lines) != expected:
         raise InvalidInputError(f"checkpoint has {len(lines)} lines, expected {expected}")
 
@@ -342,18 +359,24 @@ def load_model(src, refactor_every: int = DEFAULT_REFACTOR_EVERY) -> GaussianMod
             raise InvalidInputError(f"malformed {label} row: {text!r}") from exc
         if row.shape[0] != m:
             raise InvalidInputError(f"{label} row has {row.shape[0]} entries, expected {m}")
+        if not np.isfinite(row).all():
+            raise InvalidInputError(f"non-finite {label} row: {text!r}")
         return row
 
-    mu = parse_row(lines[1], "mean")
-    factor = np.vstack([parse_row(lines[2 + i], "factor") for i in range(m)])
-    cinv = np.vstack([parse_row(lines[2 + m + i], "inverse") for i in range(m)])
-    if np.any(np.triu(factor, 1) != 0.0):
-        raise InvalidFactorError("checkpoint factor is not lower-triangular")
+    mu = parse_row(lines[2], "mean")
+    cov = np.vstack([parse_row(lines[3 + i], "covariance") for i in range(m)])
+    cinv = np.vstack([parse_row(lines[3 + m + i], "inverse") for i in range(m)])
+    if not np.array_equal(cov, cov.T):
+        raise InvalidInputError("checkpoint covariance is not symmetric")
+    try:
+        factor = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidInputError("checkpoint covariance does not factorize") from exc
     return GaussianModel(
         m=m,
         n=n,
         mu=mu,
-        factor=factor,
+        cov=cov,
         cinv=cinv,
         log_det=linalg.log_det_from_factor(factor),
         blend=derive_blend(n),

@@ -2,7 +2,7 @@
 
 Everything derives from ValueError so generic callers can treat any of
 these as a bad-input condition, while the detector loop can catch the
-specific recoverable ones (DegenerateDirectionError, SingularUpdateError).
+specific recoverable ones (SingularUpdateError, NotPositiveDefiniteError).
 """
 
 

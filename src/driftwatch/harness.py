@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import fit_static, update_many
+from .detector import DEFAULT_JITTER, fit_static, update_many
 from .errors import DegenerateTruthError, InsufficientDataError, InvalidInputError
 
 EXPERIMENT_1 = "experiment-1"
@@ -159,7 +159,9 @@ def _run_protocol(data, plan: SegmentPlan, jitter: float) -> list[AadReport]:
     return reports
 
 
-def run_experiment_1(data, plan: SegmentPlan | None = None, jitter: float = 1e-10) -> list[AadReport]:
+def run_experiment_1(
+    data, plan: SegmentPlan | None = None, jitter: float = DEFAULT_JITTER
+) -> list[AadReport]:
     """Online phase over the single segment after the static prefix.
 
     For each static prefix size, fit on that prefix, update through the
@@ -172,7 +174,9 @@ def run_experiment_1(data, plan: SegmentPlan | None = None, jitter: float = 1e-1
     return _run_protocol(data, plan, jitter)
 
 
-def run_experiment_2(data, plan: SegmentPlan | None = None, jitter: float = 1e-10) -> list[AadReport]:
+def run_experiment_2(
+    data, plan: SegmentPlan | None = None, jitter: float = DEFAULT_JITTER
+) -> list[AadReport]:
     """Online phase over every remaining segment.
 
     Same sweep as experiment 1, but the updates continue to the end of the

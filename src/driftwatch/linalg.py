@@ -2,9 +2,10 @@
 
 Cholesky factorization with jitter escalation, forward substitution,
 rank-one updates of a lower-triangular factor, Sherman-Morrison inverse
-updates, and log-determinants. All functions are pure: they take plain
-float64 numpy arrays (matrices ``(m, m)``, vectors ``(m,)``) and return
-fresh arrays, so values can be shared across threads freely.
+updates, and the exact inverse and log-determinant from a factor. All
+functions are pure: they take plain float64 numpy arrays (matrices
+``(m, m)``, vectors ``(m,)``) and return fresh arrays, so values can be
+shared across threads freely.
 """
 
 from __future__ import annotations
@@ -22,11 +23,7 @@ from .errors import (
     SingularUpdateError,
 )
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-
+DEFAULT_JITTER = 1e-10
 MAX_JITTER_DOUBLINGS = 40
 DEGENERATE_NORM_SQ = 1e-30
 SINGULAR_DENOMINATOR = 1e-12
@@ -65,118 +62,7 @@ def _as_vector(b, dim: int, name: str) -> np.ndarray:
     return b
 
 
-# --- jitted kernels ---------------------------------------------------------
-#
-# The three inner loops below dominate the per-point cost of the online
-# detector, so they are compiled with numba when available. The pure-Python
-# bodies are kept callable as a fallback (and are what numba compiles).
-
-
-def _forward_solve_impl(lower, b, out):
-    m = lower.shape[0]
-    for i in range(m):
-        acc = b[i]
-        for k in range(i):
-            acc -= lower[i, k] * out[k]
-        out[i] = acc / lower[i, i]
-
-
-def _lower_inverse_impl(lower, out):
-    m = lower.shape[0]
-    for j in range(m):
-        out[j, j] = 1.0 / lower[j, j]
-        for i in range(j + 1, m):
-            acc = 0.0
-            for k in range(j, i):
-                acc -= lower[i, k] * out[k, j]
-            out[i, j] = acc / lower[i, i]
-
-
-def _chol_update_impl(lower, x):
-    # In-place: lower <- L' with L' L'ᵀ = lower lowerᵀ + x xᵀ. Destroys x.
-    m = lower.shape[0]
-    for k in range(m):
-        lkk = lower[k, k]
-        xk = x[k]
-        r = math.sqrt(lkk * lkk + xk * xk)
-        c = r / lkk
-        s = xk / lkk
-        lower[k, k] = r
-        for i in range(k + 1, m):
-            lower[i, k] = (lower[i, k] + s * x[i]) / c
-            x[i] = c * x[i] - s * lower[i, k]
-
-
-def _paired_update_impl(factor, cinv, z, v, alpha, beta):
-    # One fused detector step: rank-one update of the factor, rank-one
-    # update of the inverse, fresh log-determinant, and the inverse-vs-
-    # factor drift in one compiled call. Returns
-    # (new_factor, new_cinv, log_det, denom_ok, drift); when the inverse
-    # denominator is unsafe, new_cinv is unspecified and denom_ok False.
-    m = factor.shape[0]
-    new_factor = factor * math.sqrt(alpha)
-    x = np.dot(factor, z) * math.sqrt(beta)
-    for k in range(m):
-        lkk = new_factor[k, k]
-        xk = x[k]
-        r = math.sqrt(lkk * lkk + xk * xk)
-        c = r / lkk
-        s = xk / lkk
-        new_factor[k, k] = r
-        for i in range(k + 1, m):
-            new_factor[i, k] = (new_factor[i, k] + s * x[i]) / c
-            x[i] = c * x[i] - s * new_factor[i, k]
-
-    log_det = 0.0
-    for i in range(m):
-        log_det += math.log(new_factor[i, i])
-    log_det *= 2.0
-
-    new_cinv = np.empty_like(cinv)
-    gamma = beta / alpha
-    w = np.dot(cinv, v)
-    denom = 1.0 + gamma * np.dot(v, w)
-    denom_ok = math.isfinite(denom) and denom > SINGULAR_DENOMINATOR
-    drift = 0.0
-    if denom_ok:
-        g = gamma / denom
-        for i in range(m):
-            for j in range(i + 1):
-                val = 0.5 * (
-                    (cinv[i, j] - g * w[i] * w[j]) + (cinv[j, i] - g * w[j] * w[i])
-                ) / alpha
-                new_cinv[i, j] = val
-                new_cinv[j, i] = val
-        cov = np.dot(new_factor, new_factor.T)
-        resid = np.dot(new_cinv, cov)
-        for i in range(m):
-            row = 0.0
-            for j in range(m):
-                entry = resid[i, j]
-                if i == j:
-                    entry -= 1.0
-                row += abs(entry)
-            if row > drift:
-                drift = row
-    return new_factor, new_cinv, log_det, denom_ok, drift
-
-
-if njit is not None:
-    _forward_solve = njit(cache=True)(_forward_solve_impl)
-    _lower_inverse = njit(cache=True)(_lower_inverse_impl)
-    _chol_update = njit(cache=True)(_chol_update_impl)
-    _paired_update = njit(cache=True)(_paired_update_impl)
-else:  # pragma: no cover
-    _forward_solve = _forward_solve_impl
-    _lower_inverse = _lower_inverse_impl
-    _chol_update = _chol_update_impl
-    _paired_update = _paired_update_impl
-
-
-# --- public operations ------------------------------------------------------
-
-
-def cholesky_factorize(c, jitter: float = 1e-10) -> tuple[np.ndarray, float]:
+def cholesky_factorize(c, jitter: float = DEFAULT_JITTER) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a symmetric matrix, with jitter escalation.
 
     Returns ``(factor, lam)`` where ``factor @ factor.T == c + lam * I``.
@@ -214,7 +100,8 @@ def tri_solve_lower(a, b) -> np.ndarray:
     a = _as_square_matrix(a, "factor")
     b = _as_vector(b, a.shape[0], "rhs")
     out = np.empty_like(b)
-    _forward_solve(a, b, out)
+    for i in range(a.shape[0]):
+        out[i] = (b[i] - a[i, :i] @ out[:i]) / a[i, i]
     return out
 
 
@@ -238,10 +125,17 @@ def factor_rank_one_update(a, z, blend: CovBlend) -> np.ndarray:
         raise InvalidInputError("direction contains non-finite entries")
     if norm_sq < DEGENERATE_NORM_SQ:
         raise DegenerateDirectionError(f"direction norm² {norm_sq:g} is degenerate")
-    v = a @ z
     out = a * math.sqrt(blend.alpha)
-    x = v * math.sqrt(blend.beta)
-    _chol_update(out, x)
+    x = (a @ z) * math.sqrt(blend.beta)
+    # Rotate x into the columns of out one at a time (Gill, Golub, Murray
+    # & Saunders 1974): afterwards out outᵀ gains exactly x xᵀ.
+    for k in range(out.shape[0]):
+        lkk, xk = out[k, k], x[k]
+        r = math.sqrt(lkk * lkk + xk * xk)
+        c, s = r / lkk, xk / lkk
+        out[k, k] = r
+        out[k + 1 :, k] = (out[k + 1 :, k] + s * x[k + 1 :]) / c
+        x[k + 1 :] = c * x[k + 1 :] - s * out[k + 1 :, k]
     return out
 
 
@@ -278,15 +172,14 @@ def log_det_from_factor(a) -> float:
 def inverse_from_factor(a) -> np.ndarray:
     """``(A Aᵀ)⁻¹`` from a lower-triangular factor, via triangular inversion.
 
-    Inverts ``A`` by forward substitution against the identity, then forms
-    ``A⁻ᵀ A⁻¹``; the result is symmetrized. This is the refactorization
-    fallback used to clear accumulated drift in a maintained inverse.
+    Inverts ``A``, then forms ``A⁻ᵀ A⁻¹``; the result is symmetrized. This
+    is the exact rebuild used to clear accumulated drift in a maintained
+    inverse.
     """
     a = _as_square_matrix(a, "factor")
     diag = np.diag(a)
     if diag.size and (not np.isfinite(diag).all() or (diag <= 0.0).any()):
         raise InvalidFactorError("factor diagonal must be finite and strictly positive")
-    w = np.zeros_like(a)
-    _lower_inverse(a, w)
+    w = np.linalg.inv(np.tril(a))
     out = w.T @ w
     return 0.5 * (out + out.T)

@@ -42,7 +42,7 @@ def report(number, label, ok):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # Compile the jitted kernels outside any timed section.
+    # Run the update path once outside any timed section.
     model = fit_static(gen_random_stream(30, 2, seed=0))
     update_online(model, np.zeros(2))
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from driftwatch.cli import main
-from driftwatch.detector import load_model
+from driftwatch.cli import DetectorConfig, detect, main
+from driftwatch.detector import DEFAULT_JITTER, DEFAULT_REFACTOR_EVERY, load_model
+from driftwatch.pewma import PewmaParams
 from driftwatch.harness import gen_random_stream, gen_shift_stream, ShiftSpec, run_experiment_1
 
 
@@ -66,6 +67,26 @@ class TestSimulate:
     def test_too_short_stream_is_usage_error(self, runner):
         result = runner.invoke(main, ["simulate", "--kind", "abrupt-transient", "--count", "5"])
         assert result.exit_code == 2
+
+
+class TestDetectDefaults:
+    def test_config_takes_the_library_defaults(self):
+        config, params = DetectorConfig(), PewmaParams()
+        assert config.alpha == params.alpha
+        assert config.beta == params.beta
+        assert config.warmup_T == params.warmup_T
+        assert config.sigma_floor == params.sigma_floor
+        assert config.jitter == DEFAULT_JITTER
+        assert config.refactor_every == DEFAULT_REFACTOR_EVERY
+        assert config.tau is None
+
+    def test_flags_default_to_the_config(self):
+        config = DetectorConfig()
+        fields = {"warmup_t": "warmup_T", "static_points": "static_count_points"}
+        flags = {p.name: p.default for p in detect.params if p.name not in ("input_file", "mode")}
+        for name in ("alpha", "beta", "tau", "warmup_t", "static_points", "jitter",
+                     "refactor_every", "sigma_floor"):
+            assert flags[name] == getattr(config, fields.get(name, name)), name
 
 
 class TestDetectUnivariate:
@@ -197,15 +218,23 @@ class TestDetectMultivariate:
         )
         assert result.exit_code == 2
 
-    def test_raw_z_mode_runs(self, runner):
-        text = self.stream_text(60, 2, seed=5)
-        result = runner.invoke(
+    def test_huge_point_does_not_end_the_stream(self, runner, tmp_path):
+        lines = self.stream_text(129, 3, seed=5).splitlines()
+        args = ["detect", "--mode", "multivariate"]
+        ckpt = tmp_path / "model.ckpt"
+        huge = runner.invoke(
             main,
-            ["detect", "--mode", "multivariate", "--static-points", "40", "--z-mode", "raw"],
-            input=text,
+            [*args, "--checkpoint", str(ckpt)],
+            input="\n".join(lines[:110] + ["1e200,1e200,1e200"] + lines[110:]) + "\n",
         )
-        assert result.exit_code == 0
-        assert len(result.stdout.splitlines()) == 20
+        assert huge.exit_code == 0, huge.stderr
+        verdicts = huge.stdout.splitlines()
+        assert len(verdicts) == 30
+        assert verdicts[10].startswith("110,") and verdicts[10].endswith(",true")
+        assert load_model(ckpt).n == 129
+        without = runner.invoke(main, args, input="\n".join(lines) + "\n").stdout.splitlines()
+        log_score = lambda row: row.split(",")[-2]
+        assert [log_score(r) for r in verdicts[11:]] == [log_score(r) for r in without[10:]]
 
     def test_jsonl_records(self, runner):
         text = self.stream_text(45, 3, seed=6)

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ class TestFitStatic:
         centered = raw - raw.mean(axis=0)
         white = centered @ np.linalg.inv(np.linalg.cholesky(np.cov(raw, rowvar=False, ddof=1))).T
         model = fit_static(white)
-        np.testing.assert_allclose(model.factor, np.eye(4), atol=1e-9)
+        np.testing.assert_allclose(model.cov, np.eye(4), atol=1e-9)
         assert model.log_det == pytest.approx(0.0, abs=1e-9)
 
     def test_identical_points_fall_back_to_jitter(self):
@@ -103,7 +104,7 @@ class TestUpdateOnline:
         updated = update_online(model, model.mu.copy())
         assert updated.n == model.n + 1
         np.testing.assert_allclose(updated.mu, model.mu, rtol=1e-15)
-        np.testing.assert_array_equal(updated.factor, model.factor)
+        np.testing.assert_array_equal(updated.cov, model.cov)
         np.testing.assert_array_equal(updated.cinv, model.cinv)
 
     def test_axis_aligned_blend_example(self):
@@ -111,7 +112,7 @@ class TestUpdateOnline:
             m=2,
             n=10,
             mu=np.zeros(2),
-            factor=np.eye(2),
+            cov=np.eye(2),
             cinv=np.eye(2),
             log_det=0.0,
             blend=CovBlend(0.8, 0.2),
@@ -120,32 +121,51 @@ class TestUpdateOnline:
         np.testing.assert_allclose(updated.covariance(), np.diag([1.0, 0.8]), rtol=1e-12)
         np.testing.assert_allclose(updated.mu, [1.0 / 11.0, 0.0], rtol=1e-12)
 
-    def test_blend_matches_direct_arithmetic_each_step(self):
+    @pytest.mark.parametrize(
+        "dim,n_static,steps,scale_lo,scale_hi,offset",
+        [(3, 50, 50, 1.0, 1.0, 0.0), (15, 16, 255, 0.1, 50.0, 7.0)],
+    )
+    def test_blend_matches_direct_arithmetic_each_step(
+        self, dim, n_static, steps, scale_lo, scale_hi, offset
+    ):
         rng = np.random.default_rng(12)
-        model = fitted_model(rng, n=50, dim=3)
-        for _ in range(50):
-            x = rng.standard_normal(3)
+        scales = np.geomspace(scale_lo, scale_hi, dim)
+        model = fit_static(rng.standard_normal((n_static, dim)) * scales + offset)
+        direct = model.covariance()
+        for _ in range(steps):
+            x = rng.standard_normal(dim) * scales + offset
             d = x - model.mu
             expected = model.blend.alpha * model.covariance() + model.blend.beta * np.outer(d, d)
+            direct = model.blend.alpha * direct + model.blend.beta * np.outer(d, d)
             model = update_online(model, x)
             err = np.linalg.norm(model.covariance() - expected) / np.linalg.norm(expected)
             assert err < 1e-9
+        # No rebuild ran: the covariance, the lemma log-determinant and the
+        # inverse were all carried by rank-one updates.
+        assert model.updates_since_refactor == steps
+        assert rel_err(model.covariance(), direct) < 1e-12
+        assert abs(model.log_det - np.linalg.slogdet(model.covariance())[1]) < 1e-9
 
-    def test_raw_mode_blends_transformed_point(self):
-        rng = np.random.default_rng(13)
-        model = fitted_model(rng, n=50, dim=3)
-        x = rng.standard_normal(3)
-        v = model.factor @ x
-        expected = model.blend.alpha * model.covariance() + model.blend.beta * np.outer(v, v)
-        updated = update_online(model, x, z_mode="raw")
-        np.testing.assert_allclose(updated.covariance(), expected, rtol=1e-9)
-        np.testing.assert_allclose(updated.cinv @ expected, np.eye(3), atol=1e-7)
+    def test_drifted_inverse_is_rebuilt(self):
+        rng = np.random.default_rng(14)
+        model = fitted_model(rng, n=50, dim=4)
+        model = update_online(model, rng.standard_normal(4))
+        assert model.updates_since_refactor == 1
+        updated = update_online(replace(model, cinv=model.cinv * 1.01), rng.standard_normal(4))
+        assert updated.updates_since_refactor == 0
+        np.testing.assert_allclose(updated.cinv @ updated.covariance(), np.eye(4), atol=1e-9)
 
-    def test_invalid_z_mode_rejected(self):
-        rng = np.random.default_rng(2)
-        model = fitted_model(rng)
-        with pytest.raises(InvalidInputError):
-            update_online(model, np.zeros(3), z_mode="other")
+    @pytest.mark.parametrize(
+        "value,refactor_every",
+        # 1e200 overflows the blend. 1e12 leaves it finite but numerically
+        # rank one, so the rebuild that every update runs here cannot
+        # factorize it.
+        [(1e200, 256), (1e12, 1)],
+    )
+    def test_point_that_would_break_the_model_is_refused(self, value, refactor_every):
+        rng = np.random.default_rng(15)
+        model = fitted_model(rng, n=100, refactor_every=refactor_every)
+        assert update_online(model, np.full(3, value)) is model
 
     def test_streamed_mean_equals_batch_mean(self):
         rng = np.random.default_rng(21)
@@ -346,7 +366,7 @@ class TestCheckpoint:
         loaded = load_model(io.StringIO(text))
         assert model_to_text(loaded) == text
         np.testing.assert_array_equal(loaded.mu, model.mu)
-        np.testing.assert_array_equal(loaded.factor, model.factor)
+        np.testing.assert_array_equal(loaded.cov, model.cov)
         np.testing.assert_array_equal(loaded.cinv, model.cinv)
         assert loaded.m == model.m and loaded.n == model.n
         assert loaded.log_det == pytest.approx(model.log_det, rel=1e-12)
@@ -357,7 +377,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_model(model, path)
         loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.factor, model.factor)
+        np.testing.assert_array_equal(loaded.cov, model.cov)
 
     def test_truncated_checkpoint_rejected(self):
         rng = np.random.default_rng(74)
@@ -369,3 +389,45 @@ class TestCheckpoint:
     def test_garbage_header_rejected(self):
         with pytest.raises(InvalidInputError):
             load_model(io.StringIO("not a header\n"))
+
+    @staticmethod
+    def corrupt_lines(edit):
+        rng = np.random.default_rng(75)
+        lines = model_to_text(fitted_model(rng, n=50, dim=3)).splitlines()
+        edit(lines)
+        return io.StringIO("\n".join(lines) + "\n")
+
+    @staticmethod
+    def set_entry(lines, row, col, value):
+        tokens = lines[row].split()
+        tokens[col] = value
+        lines[row] = " ".join(tokens)
+
+    def test_non_finite_inverse_rejected(self):
+        text = self.corrupt_lines(lambda lines: self.set_entry(lines, -1, -1, "nan"))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            load_model(text)
+
+    def test_asymmetric_covariance_rejected(self):
+        text = self.corrupt_lines(lambda lines: self.set_entry(lines, 3, 1, "0.123"))
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            load_model(text)
+
+    def test_covariance_needing_jitter_rejected(self):
+        def negate_diagonal(lines):
+            for i in range(3):
+                self.set_entry(lines, 3 + i, i, "-1")
+
+        with pytest.raises(InvalidInputError, match="does not factorize"):
+            load_model(self.corrupt_lines(negate_diagonal))
+
+    def test_missing_version_line_rejected(self):
+        # A checkpoint without the version line, such as the older format of
+        # factor rows, must never be read as a covariance.
+        with pytest.raises(InvalidInputError, match="driftwatch-model 2"):
+            load_model(self.corrupt_lines(lambda lines: lines.pop(0)))
+
+    def test_unknown_version_rejected(self):
+        text = self.corrupt_lines(lambda lines: lines.__setitem__(0, "driftwatch-model 3"))
+        with pytest.raises(InvalidInputError, match="driftwatch-model 2"):
+            load_model(text)
