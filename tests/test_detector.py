@@ -121,15 +121,9 @@ class TestUpdateOnline:
         np.testing.assert_allclose(updated.covariance(), np.diag([1.0, 0.8]), rtol=1e-12)
         np.testing.assert_allclose(updated.mu, [1.0 / 11.0, 0.0], rtol=1e-12)
 
-    @pytest.mark.parametrize(
-        "dim,n_static,steps,scale_lo,scale_hi,offset",
-        [(3, 50, 50, 1.0, 1.0, 0.0), (15, 16, 255, 0.1, 50.0, 7.0)],
-    )
-    def test_blend_matches_direct_arithmetic_each_step(
-        self, dim, n_static, steps, scale_lo, scale_hi, offset
-    ):
+    @staticmethod
+    def _check_blend_each_step(dim, n_static, steps, scales, offset):
         rng = np.random.default_rng(12)
-        scales = np.geomspace(scale_lo, scale_hi, dim)
         model = fit_static(rng.standard_normal((n_static, dim)) * scales + offset)
         direct = model.covariance()
         for _ in range(steps):
@@ -145,6 +139,12 @@ class TestUpdateOnline:
         assert model.updates_since_refactor == steps
         assert rel_err(model.covariance(), direct) < 1e-12
         assert abs(model.log_det - np.linalg.slogdet(model.covariance())[1]) < 1e-9
+
+    def test_blend_matches_direct_arithmetic_each_step(self):
+        self._check_blend_each_step(3, 50, 50, np.ones(3), 0.0)
+
+    def test_blend_matches_direct_arithmetic_wide_scales(self):
+        self._check_blend_each_step(15, 16, 255, np.geomspace(0.1, 50.0, 15), 7.0)
 
     def test_drifted_inverse_is_rebuilt(self):
         rng = np.random.default_rng(14)
