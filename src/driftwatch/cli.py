@@ -19,8 +19,6 @@ import click
 import numpy as np
 
 from .detector import (
-    DEFAULT_JITTER,
-    DEFAULT_REFACTOR_EVERY,
     auto_tau,
     fit_static,
     load_model,
@@ -59,8 +57,6 @@ class DetectorConfig:
     tau: float | None = None
     warmup_T: int = PewmaParams.warmup_T
     static_count_points: int = 100
-    jitter: float = DEFAULT_JITTER
-    refactor_every: int = DEFAULT_REFACTOR_EVERY
     sigma_floor: float = PewmaParams.sigma_floor
 
 
@@ -157,7 +153,7 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
     dim = None
     buffer: list[list[float]] = []
     if checkpoint is not None and os.path.exists(checkpoint):
-        model = load_model(checkpoint, refactor_every=config.refactor_every)
+        model = load_model(checkpoint)
         dim = model.m
 
     for line_no, text in _data_lines(lines, header):
@@ -177,11 +173,7 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
             buffer.append(values)
             if len(buffer) >= config.static_count_points:
                 try:
-                    model = fit_static(
-                        np.asarray(buffer),
-                        jitter=config.jitter,
-                        refactor_every=config.refactor_every,
-                    )
+                    model = fit_static(np.asarray(buffer))
                 except (InsufficientDataError, InvalidInputError) as exc:
                     err.write(f"fatal: static fit failed: {exc}\n")
                     return EXIT_FATAL
@@ -215,17 +207,14 @@ def main():
 @click.option("--warmup", "warmup_t", type=int, default=DetectorConfig.warmup_T, show_default=True)
 @click.option("--static-points", type=int, default=DetectorConfig.static_count_points,
               show_default=True, help="Points buffered for the multivariate static fit.")
-@click.option("--jitter", type=float, default=DetectorConfig.jitter, show_default=True)
-@click.option("--refactor-every", type=int, default=DetectorConfig.refactor_every,
-              show_default=True)
 @click.option("--sigma-floor", type=float, default=DetectorConfig.sigma_floor, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
 @click.option("--header", is_flag=True, help="Skip one leading input line.")
 @click.option("--checkpoint", type=click.Path(), default=None,
               help="Model checkpoint to resume from and save to (multivariate only).")
 @click.pass_context
-def detect(ctx, input_file, mode, alpha, beta, tau, warmup_t, static_points, jitter,
-           refactor_every, sigma_floor, fmt, header, checkpoint):
+def detect(ctx, input_file, mode, alpha, beta, tau, warmup_t, static_points, sigma_floor,
+           fmt, header, checkpoint):
     """Score a stream of points, one verdict line per scored point."""
     if checkpoint is not None and mode != "multivariate":
         raise click.UsageError("--checkpoint requires --mode multivariate")
@@ -236,8 +225,6 @@ def detect(ctx, input_file, mode, alpha, beta, tau, warmup_t, static_points, jit
         tau=tau,
         warmup_T=warmup_t,
         static_count_points=static_points,
-        jitter=jitter,
-        refactor_every=refactor_every,
         sigma_floor=sigma_floor,
     )
     try:
@@ -293,8 +280,7 @@ def simulate(kind, at, magnitude, ramp, count, seed, dim, fmt):
 @click.option("--dim", type=int, default=15, show_default=True)
 @click.option("--seeds", type=str, default="0", show_default=True,
               help="Comma-separated list of generator seeds.")
-@click.option("--jitter", type=float, default=DEFAULT_JITTER, show_default=True)
-def experiment(which, count, dim, seeds, jitter):
+def experiment(which, count, dim, seeds):
     """Run a static-vs-online covariance experiment, CSV report to stdout."""
     if count < 5 * (dim + 1):
         raise click.UsageError(
@@ -312,7 +298,7 @@ def experiment(which, count, dim, seeds, jitter):
     rows = []
     for seed in seed_list:
         data = gen_random_stream(count, dim, seed)
-        rows.extend((int(which), seed, report) for report in runner(data, jitter=jitter))
+        rows.extend((int(which), seed, report) for report in runner(data))
     write_reports_csv(sys.stdout, rows)
 
 

@@ -6,9 +6,10 @@ its rank-one blend, the inverse by the Sherman-Morrison kernel in
 ``linalg``, the log-determinant by the matrix determinant lemma, and the
 mean by the exact incremental recurrence. The inverse and log-determinant
 are rebuilt exactly from a Cholesky factorization when drift shows or
-every ``refactor_every`` updates. Points are classified by thresholding
-the Gaussian density. ``update_many`` absorbs a whole batch in closed
-form, for callers that never score between updates. Models are values;
+every ``REFACTOR_EVERY`` updates (a constant, like the starting jitter).
+Points are classified by thresholding the Gaussian density.
+``update_many`` absorbs a whole batch in closed form, for callers that
+never score between updates. Models are values;
 both update functions return a new model and never mutate their argument.
 """
 
@@ -28,12 +29,14 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularUpdateError,
 )
-from .linalg import DEFAULT_JITTER, CovBlend
+from .linalg import CovBlend
 
 LOG_2PI = math.log(2.0 * math.pi)
 DRIFT_LIMIT = 1e-4
-DEFAULT_REFACTOR_EVERY = 256
-CHECKPOINT_VERSION = "driftwatch-model 2"
+REFACTOR_EVERY = 256
+FLOAT_EPS = float(np.finfo(np.float64).eps)
+LOG_DET_TOL = 1e-6
+CHECKPOINT_VERSION = "driftwatch-model 3"
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,6 @@ class GaussianModel:
     cinv: np.ndarray
     log_det: float
     blend: CovBlend
-    refactor_every: int = DEFAULT_REFACTOR_EVERY
     updates_since_refactor: int = 0
     jitter_used: float = 0.0
 
@@ -86,23 +88,19 @@ def derive_blend(n_static: int) -> CovBlend:
     return CovBlend(alpha=1.0 - c_cov, beta=c_cov)
 
 
-def _factorized(cov, jitter: float = DEFAULT_JITTER):
+def _factorized(cov):
     """``(cov, cinv, log_det, lam)`` from one Cholesky factorization of ``cov``.
 
     The returned covariance is the symmetric matrix that was factorized,
     ``lam * I`` included, so the inverse and log-determinant are exact for
     it and a checkpoint of it reloads.
     """
-    factor, lam = linalg.cholesky_factorize(cov, jitter)
+    factor, lam = linalg.cholesky_factorize(cov)
     cov = 0.5 * (cov + cov.T) + lam * np.eye(cov.shape[0])
     return cov, linalg.inverse_from_factor(factor), linalg.log_det_from_factor(factor), lam
 
 
-def fit_static(
-    data,
-    jitter: float = DEFAULT_JITTER,
-    refactor_every: int = DEFAULT_REFACTOR_EVERY,
-) -> GaussianModel:
+def fit_static(data) -> GaussianModel:
     """Fit the model on the initial batch: mean, unbiased covariance, inverse.
 
     ``data`` is an (n, m) array (or a sequence of length-m vectors; plain
@@ -123,7 +121,7 @@ def fit_static(
 
     mu = data.mean(axis=0)
     cov = np.atleast_2d(np.cov(data, rowvar=False, ddof=1))
-    cov, cinv, log_det, lam = _factorized(cov, jitter)
+    cov, cinv, log_det, lam = _factorized(cov)
     return GaussianModel(
         m=m,
         n=n,
@@ -132,11 +130,11 @@ def fit_static(
         cinv=cinv,
         log_det=log_det,
         blend=derive_blend(n),
-        refactor_every=refactor_every,
         jitter_used=lam,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a huge x overflows q; it is refused
 def update_online(model: GaussianModel, x) -> GaussianModel:
     """Absorb one point: blend the covariance, update the inverse and mean.
 
@@ -150,9 +148,10 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
     the mean and count. The inverse and log-determinant are rebuilt exactly
     when the Sherman-Morrison denominator is unsafe, when the residual of
     the pre-update pair along d, ‖C w - d‖∞ / ‖d‖∞, exceeds ``DRIFT_LIMIT``,
-    or after ``refactor_every`` rank-one updates. A point is refused, and
-    the model returned unchanged, when its blend would make the covariance
-    non-finite or a rebuild cannot factorize it (a huge but finite x).
+    or after ``REFACTOR_EVERY`` rank-one updates. A point is refused, and
+    the model returned unchanged, when its rank-one term would swamp C in
+    float64, (beta/alpha) q eps >= 1 with eps the machine epsilon (a huge
+    but finite x), or when the blend is non-finite or cannot be factorized.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.m:
@@ -167,13 +166,15 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
     if q < linalg.DEGENERATE_NORM_SQ:
         return replace(model, n=model.n + 1, mu=mu)
     alpha, beta = model.blend.alpha, model.blend.beta
+    if not beta / alpha * q * FLOAT_EPS < 1.0:
+        return model
     cov = alpha * model.cov + beta * np.outer(d, d)
     if not np.isfinite(cov).all():
         return model
 
     updates = model.updates_since_refactor + 1
     drift = float(np.abs(model.cov @ w - d).max() / np.abs(d).max())
-    if updates < model.refactor_every and drift <= DRIFT_LIMIT:
+    if updates < REFACTOR_EVERY and drift <= DRIFT_LIMIT:
         try:
             cinv = linalg.sherman_morrison_update(model.cinv, d, model.blend)
         except SingularUpdateError:
@@ -256,6 +257,7 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a huge x scores d² = inf
 def score(model: GaussianModel, x, tau: float) -> MultiVerdict:
     """Gaussian-density verdict for one vector against the current model.
 
@@ -299,10 +301,12 @@ def auto_tau(model: GaussianModel) -> float:
 
 # --- checkpoint serialization ------------------------------------------------
 #
-# Flat text format: the version line, a header line "m n", then the mean,
+# Flat text format: the version line, a header line "m n", a state line
+# "alpha beta log_det updates_since_refactor jitter_used", then the mean,
 # then the covariance rows, then the inverse-covariance rows, one line
 # each, entries separated by single spaces with 17 significant digits
-# (lossless for float64).
+# (lossless for float64). The file holds the whole model, so a resumed
+# stream continues exactly as one that never stopped.
 
 
 def _fmt_row(row) -> str:
@@ -317,6 +321,10 @@ def save_model(model: GaussianModel, dest) -> None:
         return
     dest.write(CHECKPOINT_VERSION + "\n")
     dest.write(f"{model.m} {model.n}\n")
+    dest.write(
+        f"{_fmt_row((model.blend.alpha, model.blend.beta, model.log_det))} "
+        f"{model.updates_since_refactor} {model.jitter_used:.17g}\n"
+    )
     dest.write(_fmt_row(model.mu) + "\n")
     for row in model.cov:
         dest.write(_fmt_row(row) + "\n")
@@ -324,18 +332,18 @@ def save_model(model: GaussianModel, dest) -> None:
         dest.write(_fmt_row(row) + "\n")
 
 
-def load_model(src, refactor_every: int = DEFAULT_REFACTOR_EVERY) -> GaussianModel:
+def load_model(src) -> GaussianModel:
     """Read a checkpoint written by ``save_model``.
 
     Raises InvalidInputError unless the file starts with the current version
-    line, every value is finite, and the covariance is symmetric and
-    factorizes without jitter. The log-determinant is recomputed from that
-    factor, and the blend weights are re-derived from the stored sample
-    count (the checkpoint format does not carry them separately).
+    line, every value is finite, the blend weights are valid, the refactor
+    counter is in [0, ``REFACTOR_EVERY``), the jitter is >= 0, the
+    covariance is symmetric and factorizes without jitter, and the stored
+    log-determinant is within ``LOG_DET_TOL`` of that factor's.
     """
     if isinstance(src, (str, os.PathLike)):
         with open(src, "r", encoding="ascii") as handle:
-            return load_model(handle, refactor_every=refactor_every)
+            return load_model(handle)
     lines = [line.strip() for line in src if line.strip()]
     if lines[:1] != [CHECKPOINT_VERSION]:
         raise InvalidInputError(f"checkpoint does not start with {CHECKPOINT_VERSION!r}")
@@ -348,9 +356,21 @@ def load_model(src, refactor_every: int = DEFAULT_REFACTOR_EVERY) -> GaussianMod
         raise InvalidInputError(f"malformed checkpoint header: {lines[1]!r}") from exc
     if m < 1 or n < 1:
         raise InvalidInputError(f"checkpoint header out of range: m={m} n={n}")
-    expected = 2 + 1 + 2 * m
+    expected = 3 + 1 + 2 * m
     if len(lines) != expected:
         raise InvalidInputError(f"checkpoint has {len(lines)} lines, expected {expected}")
+
+    try:
+        alpha, beta, log_det, updates, jitter_used = lines[2].split()
+        alpha, beta, log_det, jitter_used = map(float, (alpha, beta, log_det, jitter_used))
+        updates = int(updates)
+    except ValueError as exc:
+        raise InvalidInputError(f"malformed checkpoint state: {lines[2]!r}") from exc
+    if not all(map(math.isfinite, (alpha, beta, log_det, jitter_used))):
+        raise InvalidInputError(f"non-finite checkpoint state: {lines[2]!r}")
+    blend = CovBlend(alpha=alpha, beta=beta)
+    if not 0 <= updates < REFACTOR_EVERY or jitter_used < 0.0:
+        raise InvalidInputError(f"checkpoint state out of range: {lines[2]!r}")
 
     def parse_row(text, label):
         try:
@@ -363,24 +383,27 @@ def load_model(src, refactor_every: int = DEFAULT_REFACTOR_EVERY) -> GaussianMod
             raise InvalidInputError(f"non-finite {label} row: {text!r}")
         return row
 
-    mu = parse_row(lines[2], "mean")
-    cov = np.vstack([parse_row(lines[3 + i], "covariance") for i in range(m)])
-    cinv = np.vstack([parse_row(lines[3 + m + i], "inverse") for i in range(m)])
+    mu = parse_row(lines[3], "mean")
+    cov = np.vstack([parse_row(lines[4 + i], "covariance") for i in range(m)])
+    cinv = np.vstack([parse_row(lines[4 + m + i], "inverse") for i in range(m)])
     if not np.array_equal(cov, cov.T):
         raise InvalidInputError("checkpoint covariance is not symmetric")
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise InvalidInputError("checkpoint covariance does not factorize") from exc
+    if abs(log_det - linalg.log_det_from_factor(factor)) > LOG_DET_TOL:
+        raise InvalidInputError("checkpoint log-determinant does not match its covariance")
     return GaussianModel(
         m=m,
         n=n,
         mu=mu,
         cov=cov,
         cinv=cinv,
-        log_det=linalg.log_det_from_factor(factor),
-        blend=derive_blend(n),
-        refactor_every=refactor_every,
+        log_det=log_det,
+        blend=blend,
+        updates_since_refactor=updates,
+        jitter_used=jitter_used,
     )
 
 

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DEFAULT_JITTER, fit_static, update_many
+from .detector import fit_static, update_many
 from .errors import DegenerateTruthError, InsufficientDataError, InvalidInputError
 
-EXPERIMENT_1 = "experiment-1"
-EXPERIMENT_2 = "experiment-2"
 SHIFT_ABRUPT_TRANSIENT = "abrupt-transient"
 SHIFT_ABRUPT_DISTRIBUTIONAL = "abrupt-distributional"
 SHIFT_GRADUAL = "gradual-distributional"
@@ -35,7 +33,7 @@ CSV_HEADER = "experiment,static_count,aad,points,seed,elapsed_ms"
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """How to segment a stream and which protocol to run.
+    """How to segment a stream; the protocol is the function that runs it.
 
     ``static_count`` pins a single static-prefix size; when None the
     experiment sweeps every size from 1 to n_segments - 1.
@@ -43,7 +41,6 @@ class SegmentPlan:
 
     n_segments: int = 5
     static_count: int | None = None
-    mode: str = EXPERIMENT_1
 
     def __post_init__(self) -> None:
         if self.n_segments < 2:
@@ -52,8 +49,6 @@ class SegmentPlan:
             raise InvalidInputError(
                 f"static_count must be in [1, {self.n_segments - 1}], got {self.static_count}"
             )
-        if self.mode not in (EXPERIMENT_1, EXPERIMENT_2):
-            raise InvalidInputError(f"unknown experiment mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ def split_segments(data: np.ndarray, n_segments: int) -> list[np.ndarray]:
     return [data[bounds[i] : bounds[i + 1]] for i in range(n_segments)]
 
 
-def _run_protocol(data, plan: SegmentPlan, jitter: float) -> list[AadReport]:
+def _run_protocol(data, plan: SegmentPlan, to_end: bool) -> list[AadReport]:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
@@ -136,13 +131,10 @@ def _run_protocol(data, plan: SegmentPlan, jitter: float) -> list[AadReport]:
     for static_count in counts:
         start = time.perf_counter()
         static = np.concatenate(segments[:static_count])
-        model = fit_static(static, jitter=jitter)
-        if plan.mode == EXPERIMENT_1:
-            online = segments[static_count]
-            consumed = np.concatenate(segments[: static_count + 1])
-        else:
-            online = np.concatenate(segments[static_count:])
-            consumed = data
+        model = fit_static(static)
+        end = plan.n_segments if to_end else static_count + 1
+        online = np.concatenate(segments[static_count:end])
+        consumed = np.concatenate(segments[:end])
         model = update_many(model, online)
         truth = np.atleast_2d(np.cov(consumed, rowvar=False, ddof=1))
         cov_err = aad(model.covariance(), truth)
@@ -159,33 +151,23 @@ def _run_protocol(data, plan: SegmentPlan, jitter: float) -> list[AadReport]:
     return reports
 
 
-def run_experiment_1(
-    data, plan: SegmentPlan | None = None, jitter: float = DEFAULT_JITTER
-) -> list[AadReport]:
+def run_experiment_1(data, plan: SegmentPlan | None = None) -> list[AadReport]:
     """Online phase over the single segment after the static prefix.
 
-    For each static prefix size, fit on that prefix, update through the
-    next segment only, and compare against the batch covariance of the
-    prefix plus that segment.
+    For each static prefix size in ``plan`` (default ``SegmentPlan()``), fit
+    on that prefix, update through the next segment only, and compare
+    against the batch covariance of the prefix plus that segment.
     """
-    plan = plan or SegmentPlan(mode=EXPERIMENT_1)
-    if plan.mode != EXPERIMENT_1:
-        raise InvalidInputError(f"plan mode {plan.mode!r} does not match experiment 1")
-    return _run_protocol(data, plan, jitter)
+    return _run_protocol(data, plan or SegmentPlan(), to_end=False)
 
 
-def run_experiment_2(
-    data, plan: SegmentPlan | None = None, jitter: float = DEFAULT_JITTER
-) -> list[AadReport]:
+def run_experiment_2(data, plan: SegmentPlan | None = None) -> list[AadReport]:
     """Online phase over every remaining segment.
 
     Same sweep as experiment 1, but the updates continue to the end of the
     stream and the comparison target is the batch covariance of all data.
     """
-    plan = plan or SegmentPlan(mode=EXPERIMENT_2)
-    if plan.mode != EXPERIMENT_2:
-        raise InvalidInputError(f"plan mode {plan.mode!r} does not match experiment 2")
-    return _run_protocol(data, plan, jitter)
+    return _run_protocol(data, plan or SegmentPlan(), to_end=True)
 
 
 def gen_random_stream(count: int, dim: int, seed: int) -> np.ndarray:

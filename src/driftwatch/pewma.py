@@ -1,12 +1,14 @@
 """Univariate streaming anomaly detection with a probability-weighted EWMA.
 
-The detector keeps two exponentially discounted moments (s1, s2) of the
-stream. Each incoming point is standardized against the current estimates,
-and the forgetting factor applied to the moments is scaled down by the
-point's own probability density: surprising points barely move the
-estimates, so a level shift does not poison the mean before the detector
-has had a chance to flag it. A plain EWMA baseline (``ewma_step``) is the
-special case beta = 0.
+The detector keeps an exponentially discounted mean and variance of the
+stream, the variance in centered form (West 1979), which unlike the raw
+moments s2 - s1² does not cancel when the offset dwarfs the spread. Each
+incoming point is standardized against the current estimates, and the
+forgetting factor applied to them is scaled down by the point's own
+probability density: surprising points barely move the estimates, so a
+level shift does not poison the mean before the detector has had a chance
+to flag it. A plain EWMA baseline (``ewma_step``) is the special case
+beta = 0.
 """
 
 from __future__ import annotations
@@ -52,16 +54,15 @@ class PewmaParams:
 
 @dataclass(frozen=True)
 class PewmaState:
-    """Running moments after absorbing ``t`` points.
+    """Running estimates after absorbing ``t`` points.
 
-    x_hat and sigma_hat are the mean/stddev estimates that will be used to
-    standardize the next point.
+    ``mean`` and ``sigma_hat`` (the floored square root of ``var``) are the
+    estimates that will be used to standardize the next point.
     """
 
-    s1: float
-    s2: float
+    mean: float
+    var: float
     t: int
-    x_hat: float
     sigma_hat: float
 
 
@@ -78,27 +79,29 @@ class ScoredPoint:
 
 
 def pewma_init(x1: float, params: PewmaParams) -> PewmaState:
-    """State after the first observation: s1 = x1, s2 = x1²."""
+    """State after the first observation: mean x1, variance 0."""
     if not math.isfinite(x1):
         raise InvalidInputError(f"first observation must be finite, got {x1}")
-    return PewmaState(s1=x1, s2=x1 * x1, t=1, x_hat=x1, sigma_hat=params.sigma_floor)
+    return PewmaState(mean=x1, var=0.0, t=1, sigma_hat=params.sigma_floor)
 
 
 def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaState, ScoredPoint]:
     """Score one point against the current state and absorb it.
 
     The incoming point is the (t+1)-th of the stream. While its index is
-    below warmup_T the moments use the forgetting factor 1 - 1/t (exact
-    running mean); afterwards the factor is alpha * (1 - beta * density),
-    which discounts the influence of improbable points. The verdict is
-    density < tau, gated off during warmup.
+    below warmup_T the forgetting factor is a = 1 - 1/t (exact running
+    mean); afterwards a = alpha * (1 - beta * density), which discounts
+    improbable points. With r = x - mean, the mean moves by (1 - a) r and
+    the variance becomes a var + a (1 - a) r². The verdict is density < tau,
+    gated off during warmup.
     """
     if state.t < 1:
         raise UninitializedStateError("state has absorbed no points; call pewma_init first")
     if not math.isfinite(x):
         raise InvalidInputError(f"observation must be finite, got {x}")
 
-    z = (x - state.x_hat) / state.sigma_hat
+    diff = x - state.mean
+    z = diff / state.sigma_hat
     density = INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
     t_in = state.t + 1
@@ -107,17 +110,17 @@ def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaS
     else:
         a_t = (1.0 - params.beta * density) * params.alpha
 
-    s1 = a_t * state.s1 + (1.0 - a_t) * x
-    s2 = a_t * state.s2 + (1.0 - a_t) * x * x
-    sigma = math.sqrt(max(s2 - s1 * s1, params.sigma_floor * params.sigma_floor))
+    mean = state.mean + (1.0 - a_t) * diff
+    var = a_t * state.var + a_t * (1.0 - a_t) * diff * diff
+    sigma = math.sqrt(max(var, params.sigma_floor * params.sigma_floor))
 
-    new_state = PewmaState(s1=s1, s2=s2, t=t_in, x_hat=s1, sigma_hat=sigma)
+    new_state = PewmaState(mean=mean, var=var, t=t_in, sigma_hat=sigma)
     scored = ScoredPoint(
         value=x,
         z=z,
         density=density,
         is_anomaly=density < params.tau and t_in > params.warmup_T,
-        mean_estimate=s1,
+        mean_estimate=mean,
         stddev_estimate=sigma,
     )
     return new_state, scored

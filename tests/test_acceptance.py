@@ -106,7 +106,7 @@ def test_criterion_03_long_run_consistency():
 
 def test_criterion_04_pewma_three_sigma_calibration():
     params = PewmaParams()  # alpha=0.98, beta=0.98, tau=0.0044, warmup 30
-    state = PewmaState(s1=0.0, s2=1.0, t=50, x_hat=0.0, sigma_hat=1.0)
+    state = PewmaState(mean=0.0, var=1.0, t=50, sigma_hat=1.0)
     _, at3 = pewma_step(state, 3.0, params)
     _, beyond = pewma_step(state, 3.01, params)
     _, inside = pewma_step(state, 2.99, params)
@@ -130,11 +130,11 @@ def test_criterion_05_beta_zero_collapses_to_ewma():
         state = pewma_init(float(stream[0]), params)
         mean = None
         for x in stream[1:]:
-            prev_s1, prev_t = state.s1, state.t
+            prev_mean, prev_t = state.mean, state.t
             state, _ = pewma_step(state, float(x), params)
             if prev_t + 1 >= params.warmup_T:
-                mean = ewma_step(prev_s1 if mean is None else mean, float(x), params.alpha)
-                worst = max(worst, abs(state.s1 - mean))
+                mean = ewma_step(prev_mean if mean is None else mean, float(x), params.alpha)
+                worst = max(worst, abs(state.mean - mean))
     ok = worst < 1e-12
     assert report(5, "beta-zero EWMA collapse", ok), f"worst gap {worst:g}"
 

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from driftwatch.cli import DetectorConfig, detect, main
-from driftwatch.detector import DEFAULT_JITTER, DEFAULT_REFACTOR_EVERY, load_model
+from driftwatch.detector import load_model
 from driftwatch.pewma import PewmaParams
 from driftwatch.harness import gen_random_stream, gen_shift_stream, ShiftSpec, run_experiment_1
 
@@ -76,16 +76,13 @@ class TestDetectDefaults:
         assert config.beta == params.beta
         assert config.warmup_T == params.warmup_T
         assert config.sigma_floor == params.sigma_floor
-        assert config.jitter == DEFAULT_JITTER
-        assert config.refactor_every == DEFAULT_REFACTOR_EVERY
         assert config.tau is None
 
     def test_flags_default_to_the_config(self):
         config = DetectorConfig()
         fields = {"warmup_t": "warmup_T", "static_points": "static_count_points"}
         flags = {p.name: p.default for p in detect.params if p.name not in ("input_file", "mode")}
-        for name in ("alpha", "beta", "tau", "warmup_t", "static_points", "jitter",
-                     "refactor_every", "sigma_floor"):
+        for name in ("alpha", "beta", "tau", "warmup_t", "static_points", "sigma_floor"):
             assert flags[name] == getattr(config, fields.get(name, name)), name
 
 
@@ -209,8 +206,18 @@ class TestDetectMultivariate:
             input=second,
         )
         assert result.exit_code == 0
-        assert len(result.stdout.splitlines()) == 30
+        resumed = result.stdout.splitlines()
+        assert len(resumed) == 30
         assert load_model(ckpt).n == 250
+
+        # The resumed verdicts equal those of one uninterrupted run, byte for
+        # byte after the index field (each run numbers its own input lines).
+        whole = runner.invoke(
+            main, ["detect", "--mode", "multivariate", "--static-points", "200"],
+            input=first + second,
+        )
+        after_index = lambda rows: [row.split(",", 1)[1] for row in rows]
+        assert after_index(resumed) == after_index(whole.stdout.splitlines()[-30:])
 
     def test_checkpoint_requires_multivariate(self, runner, tmp_path):
         result = runner.invoke(
@@ -219,13 +226,21 @@ class TestDetectMultivariate:
         assert result.exit_code == 2
 
     def test_huge_point_does_not_end_the_stream(self, runner, tmp_path):
+        self.check_huge_point_refused(runner, tmp_path, "1e200")
+
+    @pytest.mark.parametrize("value", ["1e12", "1e30"])
+    def test_huge_finite_point_is_refused(self, runner, tmp_path, value):
+        # Finite, but its rank-one term would swamp the covariance.
+        self.check_huge_point_refused(runner, tmp_path, value)
+
+    def check_huge_point_refused(self, runner, tmp_path, value):
         lines = self.stream_text(129, 3, seed=5).splitlines()
         args = ["detect", "--mode", "multivariate"]
         ckpt = tmp_path / "model.ckpt"
         huge = runner.invoke(
             main,
             [*args, "--checkpoint", str(ckpt)],
-            input="\n".join(lines[:110] + ["1e200,1e200,1e200"] + lines[110:]) + "\n",
+            input="\n".join(lines[:110] + [",".join([value] * 3)] + lines[110:]) + "\n",
         )
         assert huge.exit_code == 0, huge.stderr
         verdicts = huge.stdout.splitlines()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from driftwatch.detector import (
+    REFACTOR_EVERY,
     GaussianModel,
     auto_tau,
     derive_blend,
@@ -22,8 +23,8 @@ from driftwatch.linalg import CovBlend
 from driftwatch.pewma import PewmaParams, PewmaState, pewma_step
 
 
-def fitted_model(rng, n=200, dim=3, **kwargs):
-    return fit_static(rng.standard_normal((n, dim)), **kwargs)
+def fitted_model(rng, n=200, dim=3):
+    return fit_static(rng.standard_normal((n, dim)))
 
 
 class TestDeriveBlend:
@@ -70,7 +71,7 @@ class TestFitStatic:
         assert model.log_det == pytest.approx(0.0, abs=1e-9)
 
     def test_identical_points_fall_back_to_jitter(self):
-        model = fit_static(np.ones((10, 2)), jitter=1e-10)
+        model = fit_static(np.ones((10, 2)))
         assert model.jitter_used > 0.0
         np.testing.assert_allclose(model.covariance(), model.jitter_used * np.eye(2), rtol=1e-9)
 
@@ -156,15 +157,15 @@ class TestUpdateOnline:
         np.testing.assert_allclose(updated.cinv @ updated.covariance(), np.eye(4), atol=1e-9)
 
     @pytest.mark.parametrize(
-        "value,refactor_every",
-        # 1e200 overflows the blend. 1e12 leaves it finite but numerically
-        # rank one, so the rebuild that every update runs here cannot
-        # factorize it.
+        "value,updates_to_rebuild",
+        # 1e200 overflows q and the blend. 1e12 leaves the blend finite but
+        # numerically rank one, even where the update is a periodic rebuild.
         [(1e200, 256), (1e12, 1)],
     )
-    def test_point_that_would_break_the_model_is_refused(self, value, refactor_every):
+    def test_point_that_would_break_the_model_is_refused(self, value, updates_to_rebuild):
         rng = np.random.default_rng(15)
-        model = fitted_model(rng, n=100, refactor_every=refactor_every)
+        model = fitted_model(rng, n=100)
+        model = replace(model, updates_since_refactor=REFACTOR_EVERY - updates_to_rebuild)
         assert update_online(model, np.full(3, value)) is model
 
     def test_streamed_mean_equals_batch_mean(self):
@@ -187,11 +188,12 @@ class TestUpdateOnline:
 
     def test_periodic_refactor_counter(self):
         rng = np.random.default_rng(6)
-        model = fitted_model(rng, n=40, dim=2, refactor_every=8)
+        model = fitted_model(rng, n=40, dim=2)
+        model = replace(model, updates_since_refactor=REFACTOR_EVERY - 8)
         seen_reset = False
         for _ in range(20):
             model = update_online(model, rng.standard_normal(2))
-            assert model.updates_since_refactor < 8
+            assert model.updates_since_refactor < REFACTOR_EVERY
             seen_reset = seen_reset or model.updates_since_refactor == 0
         assert seen_reset
 
@@ -289,7 +291,7 @@ class TestScore:
     def test_matches_pewma_density_for_unit_variance(self):
         model = fit_static(np.array([-1.0, 0.0, 1.0]))
         params = PewmaParams()
-        state = PewmaState(s1=0.0, s2=1.0, t=100, x_hat=0.0, sigma_hat=1.0)
+        state = PewmaState(mean=0.0, var=1.0, t=100, sigma_hat=1.0)
         for x in (-2.5, -0.3, 0.0, 1.7, 3.2):
             _, point = pewma_step(state, x, params)
             verdict = score(model, np.array([x]), tau=params.tau)
@@ -371,6 +373,22 @@ class TestCheckpoint:
         assert loaded.m == model.m and loaded.n == model.n
         assert loaded.log_det == pytest.approx(model.log_det, rel=1e-12)
 
+    def test_resume_continues_exactly(self):
+        # The checkpoint holds the whole model: a stream resumed from it,
+        # across a periodic rebuild, matches one that never stopped.
+        rng = np.random.default_rng(72)
+        model = fitted_model(rng, n=40, dim=4)
+        for _ in range(100):
+            model = update_online(model, rng.standard_normal(4) * 2.0 + 0.5)
+        loaded = load_model(io.StringIO(model_to_text(model)))
+        assert loaded.blend == model.blend
+        assert loaded.log_det == model.log_det
+        assert loaded.updates_since_refactor == model.updates_since_refactor == 100
+        for x in rng.standard_normal((300, 4)):
+            assert score(loaded, x, 0.0).log_density == score(model, x, 0.0).log_density
+            model, loaded = update_online(model, x), update_online(loaded, x)
+        assert model_to_text(loaded) == model_to_text(model)
+
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(73)
         model = fitted_model(rng, n=50, dim=2)
@@ -389,6 +407,9 @@ class TestCheckpoint:
     def test_garbage_header_rejected(self):
         with pytest.raises(InvalidInputError):
             load_model(io.StringIO("not a header\n"))
+
+    # Line layout: version, "m n", state, mean, then the covariance rows.
+    STATE_ROW, FIRST_COV_ROW = 2, 4
 
     @staticmethod
     def corrupt_lines(edit):
@@ -409,14 +430,14 @@ class TestCheckpoint:
             load_model(text)
 
     def test_asymmetric_covariance_rejected(self):
-        text = self.corrupt_lines(lambda lines: self.set_entry(lines, 3, 1, "0.123"))
+        text = self.corrupt_lines(lambda lines: self.set_entry(lines, self.FIRST_COV_ROW, 1, "0.123"))
         with pytest.raises(InvalidInputError, match="not symmetric"):
             load_model(text)
 
     def test_covariance_needing_jitter_rejected(self):
         def negate_diagonal(lines):
             for i in range(3):
-                self.set_entry(lines, 3 + i, i, "-1")
+                self.set_entry(lines, self.FIRST_COV_ROW + i, i, "-1")
 
         with pytest.raises(InvalidInputError, match="does not factorize"):
             load_model(self.corrupt_lines(negate_diagonal))
@@ -424,10 +445,38 @@ class TestCheckpoint:
     def test_missing_version_line_rejected(self):
         # A checkpoint without the version line, such as the older format of
         # factor rows, must never be read as a covariance.
-        with pytest.raises(InvalidInputError, match="driftwatch-model 2"):
+        with pytest.raises(InvalidInputError, match="driftwatch-model 3"):
             load_model(self.corrupt_lines(lambda lines: lines.pop(0)))
 
     def test_unknown_version_rejected(self):
-        text = self.corrupt_lines(lambda lines: lines.__setitem__(0, "driftwatch-model 3"))
-        with pytest.raises(InvalidInputError, match="driftwatch-model 2"):
+        # Version 2 lacks the state line, so it cannot resume exactly.
+        text = self.corrupt_lines(lambda lines: lines.__setitem__(0, "driftwatch-model 2"))
+        with pytest.raises(InvalidInputError, match="driftwatch-model 3"):
             load_model(text)
+
+    @pytest.mark.parametrize(
+        "col,value,match",
+        # State columns: alpha, beta, log_det, updates_since_refactor, jitter_used.
+        [
+            (2, "nan", "non-finite"),
+            (4, "inf", "non-finite"),
+            (0, "0", "alpha"),
+            (1, "-0.5", "beta"),
+            (3, "256", "out of range"),
+            (3, "-1", "out of range"),
+            (3, "1.5", "malformed"),
+            (4, "-1e-12", "out of range"),
+            (2, "12.5", "log-determinant"),
+        ],
+    )
+    def test_bad_state_rejected(self, col, value, match):
+        text = self.corrupt_lines(lambda lines: self.set_entry(lines, self.STATE_ROW, col, value))
+        with pytest.raises(InvalidInputError, match=match):
+            load_model(text)
+
+    def test_state_with_a_missing_field_rejected(self):
+        def drop_last(lines):
+            lines[self.STATE_ROW] = lines[self.STATE_ROW].rsplit(" ", 1)[0]
+
+        with pytest.raises(InvalidInputError, match="malformed checkpoint state"):
+            load_model(self.corrupt_lines(drop_last))

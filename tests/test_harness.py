@@ -11,8 +11,6 @@ from driftwatch.errors import (
 )
 from driftwatch.harness import (
     CSV_HEADER,
-    EXPERIMENT_1,
-    EXPERIMENT_2,
     AadReport,
     SegmentPlan,
     ShiftSpec,
@@ -104,8 +102,6 @@ class TestSegments:
         with pytest.raises(InvalidInputError):
             SegmentPlan(static_count=5)
         with pytest.raises(InvalidInputError):
-            SegmentPlan(mode="experiment-3")
-        with pytest.raises(InvalidInputError):
             SegmentPlan(n_segments=1)
 
 
@@ -191,13 +187,6 @@ class TestExperiments:
         full = run_experiment_1(data)
         assert len(only) == 1
         assert only[0].aad == full[1].aad
-
-    def test_mode_mismatch_rejected(self):
-        data = gen_random_stream(60, 2, seed=29)
-        with pytest.raises(InvalidInputError):
-            run_experiment_1(data, SegmentPlan(mode=EXPERIMENT_2))
-        with pytest.raises(InvalidInputError):
-            run_experiment_2(data, SegmentPlan(mode=EXPERIMENT_1))
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):

@@ -26,18 +26,17 @@ def run_stream(stream, params):
 class TestPewmaInit:
     def test_first_moments(self):
         state = pewma_init(5.0, PewmaParams())
-        assert state.s1 == 5.0
-        assert state.s2 == 25.0
+        assert state.mean == 5.0
+        assert state.var == 0.0
         assert state.t == 1
-        assert state.x_hat == 5.0
 
     def test_zero(self):
         state = pewma_init(0.0, PewmaParams())
-        assert state.s1 == 0.0 and state.s2 == 0.0
+        assert state.mean == 0.0 and state.var == 0.0
 
     def test_negative(self):
         state = pewma_init(-2.0, PewmaParams())
-        assert state.s1 == -2.0 and state.s2 == 4.0
+        assert state.mean == -2.0 and state.var == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -75,7 +74,7 @@ class TestPewmaStep:
 
     def test_three_sigma_density_straddles_tau(self):
         params = PewmaParams()
-        state = PewmaState(s1=0.0, s2=1.0, t=50, x_hat=0.0, sigma_hat=1.0)
+        state = PewmaState(mean=0.0, var=1.0, t=50, sigma_hat=1.0)
         _, at3 = pewma_step(state, 3.0, params)
         assert at3.density == pytest.approx(0.00443, abs=1e-5)
         assert not at3.is_anomaly
@@ -91,15 +90,15 @@ class TestPewmaStep:
         state = pewma_init(float(stream[0]), params)
         mean = None
         for x in stream[1:]:
-            prev_s1, prev_t = state.s1, state.t
+            prev_mean, prev_t = state.mean, state.t
             state, _ = pewma_step(state, float(x), params)
             if prev_t + 1 >= params.warmup_T:
-                expected = ewma_step(mean if mean is not None else prev_s1, float(x), params.alpha)
-                assert state.s1 == pytest.approx(expected, abs=1e-12)
-                mean = state.s1
+                expected = ewma_step(mean if mean is not None else prev_mean, float(x), params.alpha)
+                assert state.mean == pytest.approx(expected, abs=1e-12)
+                mean = state.mean
 
     def test_uninitialized_state_rejected(self):
-        bad = PewmaState(s1=0.0, s2=0.0, t=0, x_hat=0.0, sigma_hat=1.0)
+        bad = PewmaState(mean=0.0, var=0.0, t=0, sigma_hat=1.0)
         with pytest.raises(UninitializedStateError):
             pewma_step(bad, 1.0, PewmaParams())
 
@@ -146,7 +145,20 @@ class TestPewmaStep:
         state = pewma_init(float(stream[0]), params)
         for k, x in enumerate(stream[1:], start=2):
             state, _ = pewma_step(state, float(x), params)
-            assert state.s1 == pytest.approx(np.mean(stream[:k]), rel=1e-12)
+            assert state.mean == pytest.approx(np.mean(stream[:k]), rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8, 1e12])
+    def test_offset_does_not_change_the_verdicts(self, offset):
+        # The centered variance does not cancel at a large offset, so the
+        # flag rate and the caught spike are those of the zero-offset stream.
+        stream = np.random.default_rng(31).standard_normal(5000)
+        stream[4000] += 6.0
+        params = PewmaParams()
+        rate = lambda scored: np.mean([p.is_anomaly for p in scored])
+        _, base = run_stream(stream, params)
+        _, shifted = run_stream(stream + offset, params)
+        assert abs(rate(shifted) - rate(base)) < 0.005
+        assert shifted[3999].is_anomaly
 
 
 class TestEwmaStep:
