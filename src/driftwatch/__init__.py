@@ -38,7 +38,6 @@ from .pewma import (
 from .detector import (
     GaussianModel,
     MultiVerdict,
-    auto_tau,
     derive_blend,
     fit_static,
     load_model,

@@ -19,7 +19,6 @@ import click
 import numpy as np
 
 from .detector import (
-    auto_tau,
     fit_static,
     load_model,
     save_model,
@@ -31,7 +30,6 @@ from .harness import (
     SHIFT_KINDS,
     ShiftSpec,
     gen_random_stream,
-    gen_shift_stream,
     run_experiment_1,
     run_experiment_2,
     shift_offsets,
@@ -47,9 +45,9 @@ EXIT_FATAL = 2
 @dataclass
 class DetectorConfig:
     """Flag bundle for ``detect``, defaulting to the library's defaults;
-    ``tau = None`` means the multivariate threshold is recomputed per point
-    from the current model (density at Mahalanobis distance 3), and
-    ``PewmaParams``' default tau in univariate mode."""
+    ``tau = None`` means ``score``'s own rule in multivariate mode (flag
+    beyond Mahalanobis distance 3), and ``PewmaParams``' default tau in
+    univariate mode."""
 
     mode: str = "univariate"
     alpha: float = PewmaParams.alpha
@@ -180,8 +178,7 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
                 buffer.clear()
         else:
             x = np.asarray(values)
-            tau = config.tau if config.tau is not None else auto_tau(model)
-            verdict = score(model, x, tau)
+            verdict = score(model, x, config.tau)
             emit(index, values, verdict.density, verdict.log_density, verdict.is_anomaly)
             model = update_online(model, x)
         index += 1
@@ -203,7 +200,7 @@ def main():
 @click.option("--beta", type=float, default=DetectorConfig.beta, show_default=True)
 @click.option("--tau", type=float, default=None,
               help=f"Density threshold; omit for {PewmaParams.tau:g} (univariate) "
-              "or the per-point 3-sigma density (multivariate).")
+              "or Mahalanobis distance 3 (multivariate).")
 @click.option("--warmup", "warmup_t", type=int, default=DetectorConfig.warmup_T, show_default=True)
 @click.option("--static-points", type=int, default=DetectorConfig.static_count_points,
               show_default=True, help="Points buffered for the multivariate static fit.")
@@ -256,13 +253,8 @@ def detect(ctx, input_file, mode, alpha, beta, tau, warmup_t, static_points, sig
 def simulate(kind, at, magnitude, ramp, count, seed, dim, fmt):
     """Emit a synthetic stream, one point per line (CSV for dim > 1)."""
     try:
-        spec = ShiftSpec(kind=kind, at=at, magnitude=magnitude, ramp=ramp)
-        if dim == 1:
-            stream = gen_shift_stream(count, spec, seed)[:, None]
-        else:
-            if count < 10:
-                raise InvalidInputError(f"count must be >= 10, got {count}")
-            stream = gen_random_stream(count, dim, seed) + shift_offsets(count, spec)[:, None]
+        offsets = shift_offsets(count, ShiftSpec(kind=kind, at=at, magnitude=magnitude, ramp=ramp))
+        stream = gen_random_stream(count, dim, seed) + offsets[:, None]
     except InvalidInputError as exc:
         raise click.UsageError(str(exc)) from exc
     out = sys.stdout

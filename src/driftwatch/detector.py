@@ -7,7 +7,8 @@ its rank-one blend, the inverse by the Sherman-Morrison kernel in
 mean by the exact incremental recurrence. The inverse and log-determinant
 are rebuilt exactly from a Cholesky factorization when drift shows or
 every ``REFACTOR_EVERY`` updates (a constant, like the starting jitter).
-Points are classified by thresholding the Gaussian density.
+``score`` flags a point farther than Mahalanobis distance 3 or, given a
+density threshold tau, one whose log-density falls below log tau.
 ``update_many`` absorbs a whole batch in closed form, for callers that
 never score between updates. Models are values;
 both update functions return a new model and never mutate their argument.
@@ -36,6 +37,7 @@ DRIFT_LIMIT = 1e-4
 REFACTOR_EVERY = 256
 FLOAT_EPS = float(np.finfo(np.float64).eps)
 LOG_DET_TOL = 1e-6
+MAHALANOBIS_SQ_LIMIT = 9.0
 CHECKPOINT_VERSION = "driftwatch-model 3"
 
 
@@ -217,14 +219,23 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     both. Any jitter the final factorization needs is added to the
     covariance and to ``jitter_used``.
 
-    An empty batch returns the model unchanged. Rows that are non-finite or
-    not of length m raise InvalidInputError, as in ``update_online``.
+    A row is refused, as ``update_online`` refuses it, when its rank-one
+    term would swamp C in float64, (beta/alpha) q eps >= 1, with q taken
+    against the starting mean and inverse. An empty batch, or one whose
+    rows are all refused, returns the model unchanged. Rows that are
+    non-finite or not of length m raise InvalidInputError, as in
+    ``update_online``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.m:
         raise InvalidInputError(f"expected rows of length {model.m}, got shape {xs.shape}")
     if not np.isfinite(xs).all():
         raise InvalidInputError("batch contains non-finite entries")
+    alpha, beta = model.blend.alpha, model.blend.beta
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge row overflows q; it is refused
+        start = xs - model.mu
+        q = np.einsum("ij,ij->i", start @ model.cinv, start)
+        xs = xs[beta / alpha * q * FLOAT_EPS < 1.0]
     if xs.shape[0] == 0:
         return model
 
@@ -240,7 +251,6 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     keep = whitened_sq >= linalg.DEGENERATE_NORM_SQ
     kept = resid[keep]
     k = kept.shape[0]
-    alpha, beta = model.blend.alpha, model.blend.beta
     # Row r carries weight beta * alpha^(K-1-r); scaling it by the square
     # root makes the sum one symmetric product.
     kept *= (math.sqrt(beta) * alpha ** (0.5 * np.arange(k - 1, -1, -1.0)))[:, None]
@@ -258,17 +268,20 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge x scores d² = inf
-def score(model: GaussianModel, x, tau: float) -> MultiVerdict:
+def score(model: GaussianModel, x, tau: float | None = None) -> MultiVerdict:
     """Gaussian-density verdict for one vector against the current model.
 
-    density = exp(-(m/2) log 2π - log|C|/2 - d²/2) with the Mahalanobis
-    form d² = (x-mu)ᵀ C⁻¹ (x-mu); a point is anomalous when its density
-    falls strictly below ``tau``.
+    log density = -(m/2) log 2π - log|C|/2 - d²/2 with the Mahalanobis
+    form d² = (x-mu)ᵀ C⁻¹ (x-mu). Without ``tau`` a point is anomalous when
+    d² > ``MAHALANOBIS_SQ_LIMIT`` (distance 3); with it, when the
+    log-density falls strictly below log tau (tau = 0 flags nothing). Both
+    comparisons stay in log space, so they do not depend on the scale of
+    the data; ``density`` is exp(log density), inf where that overflows.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.m:
         raise InvalidInputError(f"expected a vector of length {model.m}, got shape {x.shape}")
-    if not (math.isfinite(tau) and tau >= 0.0):
+    if tau is not None and not (math.isfinite(tau) and tau >= 0.0):
         raise InvalidInputError(f"tau must be finite and >= 0, got {tau}")
     d = x - model.mu
     maha = max(float(d @ model.cinv @ d), 0.0)
@@ -277,26 +290,17 @@ def score(model: GaussianModel, x, tau: float) -> MultiVerdict:
         density = math.exp(log_density)
     except OverflowError:
         density = math.inf
+    if tau is None:
+        is_anomaly = maha > MAHALANOBIS_SQ_LIMIT
+    else:
+        is_anomaly = tau > 0.0 and log_density < math.log(tau)
     return MultiVerdict(
         x=x,
         log_density=log_density,
         density=density,
         mahalanobis_sq=maha,
-        is_anomaly=density < tau,
+        is_anomaly=is_anomaly,
     )
-
-
-def auto_tau(model: GaussianModel) -> float:
-    """Density of the current model at Mahalanobis distance 3.
-
-    Thresholding at this value flags exactly the points farther than three
-    covariance-scaled standard deviations from the mean, mirroring the
-    univariate 3-sigma calibration.
-    """
-    try:
-        return math.exp(-0.5 * (model.m * LOG_2PI + model.log_det + 9.0))
-    except OverflowError:
-        return math.inf
 
 
 # --- checkpoint serialization ------------------------------------------------

@@ -178,7 +178,9 @@ def gen_random_stream(count: int, dim: int, seed: int) -> np.ndarray:
 
 
 def shift_offsets(count: int, spec: ShiftSpec) -> np.ndarray:
-    """Additive mean profile of a shift over a length-``count`` stream."""
+    """Additive mean profile of a shift over a length-``count`` stream (>= 10)."""
+    if count < 10:
+        raise InvalidInputError(f"count must be >= 10, got {count}")
     pos = int(spec.at * count)
     offsets = np.zeros(count)
     if spec.kind == SHIFT_ABRUPT_TRANSIENT:
@@ -193,10 +195,8 @@ def shift_offsets(count: int, spec: ShiftSpec) -> np.ndarray:
 
 def gen_shift_stream(count: int, spec: ShiftSpec, seed: int) -> np.ndarray:
     """Standard-normal scalar stream with the given shift applied."""
-    if count < 10:
-        raise InvalidInputError(f"count must be >= 10, got {count}")
-    base = np.random.default_rng(seed).standard_normal(count)
-    return base + shift_offsets(count, spec)
+    offsets = shift_offsets(count, spec)
+    return gen_random_stream(count, 1, seed)[:, 0] + offsets
 
 
 def write_reports_csv(out, tagged_reports) -> None:

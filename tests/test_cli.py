@@ -141,11 +141,9 @@ class TestDetectUnivariate:
 
 class TestDetectMultivariate:
     @staticmethod
-    def stream_text(count, dim, seed, tail=()):
-        data = gen_random_stream(count, dim, seed)
-        lines = [",".join(f"{v:.17g}" for v in row) for row in data]
-        lines += [",".join(f"{v:.17g}" for v in row) for row in tail]
-        return "\n".join(lines) + "\n"
+    def stream_text(count, dim, seed, tail=(), scale=1.0):
+        rows = [*gen_random_stream(count, dim, seed), *tail]
+        return "\n".join(",".join(f"{v:.17g}" for v in row * scale) for row in rows) + "\n"
 
     def test_static_buffer_produces_no_output(self, runner):
         text = self.stream_text(250, 2, seed=0)
@@ -166,6 +164,25 @@ class TestDetectMultivariate:
         lines = result.stdout.splitlines()
         assert len(lines) == 1
         assert lines[0].endswith(",true")
+
+    def test_tiny_scale_prints_every_verdict(self, runner):
+        # log |C| is about -2300 here, so the density at distance 3 overflows.
+        text = self.stream_text(130, 50, seed=7, scale=1e-10)
+        result = runner.invoke(main, ["detect", "--mode", "multivariate"], input=text)
+        assert result.exit_code == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert [int(line.split(",")[0]) for line in lines] == list(range(100, 130))
+
+    def test_far_point_flagged_at_huge_scale(self, runner):
+        # log |C| is about 1700 here, so the density at distance 3 underflows.
+        far = np.zeros(15)
+        far[0] = 100.0
+        text = self.stream_text(120, 15, seed=8, tail=[far], scale=1e25)
+        result = runner.invoke(main, ["detect", "--mode", "multivariate"], input=text)
+        assert result.exit_code == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) == 21
+        assert lines[-1].startswith("120,") and lines[-1].endswith(",true")
 
     def test_dimension_change_is_fatal(self, runner):
         result = runner.invoke(

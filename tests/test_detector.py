@@ -8,7 +8,6 @@ import pytest
 from driftwatch.detector import (
     REFACTOR_EVERY,
     GaussianModel,
-    auto_tau,
     derive_blend,
     fit_static,
     load_model,
@@ -261,6 +260,22 @@ class TestUpdateMany:
         assert model_to_text(model) == before
 
     @pytest.mark.parametrize(
+        "value,refused", [(1e8, False), (1e10, True), (1e12, True), (1e200, True)]
+    )
+    def test_refuses_what_update_online_refuses(self, value, refused):
+        rng = np.random.default_rng(35)
+        model = fitted_model(rng, n=100)
+        xs = rng.standard_normal((300, 3))
+        xs[110] = value
+        folded = model
+        for x in xs:
+            folded = update_online(folded, x)
+        batched = update_many(model, xs)
+        assert batched.n == folded.n == model.n + 300 - refused
+        np.testing.assert_array_equal(batched.mu, folded.mu)
+        assert rel_err(batched.covariance(), folded.covariance()) < 1e-14
+
+    @pytest.mark.parametrize(
         "xs",
         [np.zeros(3), np.zeros((4, 2)), np.zeros((2, 3, 1)), np.array([[0.0, np.nan, 0.0]])],
     )
@@ -343,17 +358,47 @@ class TestScore:
         with pytest.raises(InvalidInputError):
             score(model, np.zeros(3), -0.1)
 
+    def test_zero_tau_flags_nothing(self):
+        rng = np.random.default_rng(5)
+        model = fitted_model(rng)
+        assert not score(model, np.full(3, 1e200), 0.0).is_anomaly
+        assert score(model, np.full(3, 1e200)).is_anomaly
+
+    @pytest.mark.parametrize("dim", [2, 15, 50])
+    def test_verdicts_do_not_depend_on_scale(self, dim):
+        # Scaling by 2^k is exact in float64, so the Mahalanobis distances,
+        # and the automatic flags drawn from them, must be bit-equal at every
+        # k, although log |C| moves by 2 k m log 2 and the density under- or
+        # overflows.
+        rng = np.random.default_rng(dim)
+        data = rng.standard_normal((3 * dim, dim))
+        points = rng.standard_normal((40, dim)) * np.linspace(0.05, 3.0, 40)[:, None]
+
+        def verdicts(k):
+            scale = 2.0**k
+            model = fit_static(data * scale)
+            out = []
+            for x in points * scale:
+                verdict = score(model, x)
+                out.append((verdict.mahalanobis_sq, verdict.is_anomaly))
+                model = update_online(model, x)
+            return out
+
+        base = verdicts(0)
+        assert 0 < sum(flag for _, flag in base) < len(points)
+        for k in (-160, -40, 40, 160):
+            assert verdicts(k) == base, k
+
 
 class TestAutoTau:
     def test_flags_exactly_beyond_three_sigma(self):
         rng = np.random.default_rng(61)
         model = fitted_model(rng, n=400, dim=2)
-        tau = auto_tau(model)
         cov = model.covariance()
         direction = rng.standard_normal(2)
         unit = direction / math.sqrt(direction @ np.linalg.inv(cov) @ direction)
-        inside = score(model, model.mu + 2.99 * unit, tau)
-        outside = score(model, model.mu + 3.01 * unit, tau)
+        inside = score(model, model.mu + 2.99 * unit)
+        outside = score(model, model.mu + 3.01 * unit)
         assert not inside.is_anomaly
         assert outside.is_anomaly
 
