@@ -48,7 +48,6 @@ from .detector import (
 )
 from .harness import (
     AadReport,
-    SegmentPlan,
     ShiftSpec,
     aad,
     gen_random_stream,

@@ -27,6 +27,7 @@ from .detector import (
 )
 from .errors import InsufficientDataError, InvalidInputError
 from .harness import (
+    N_SEGMENTS,
     SHIFT_KINDS,
     ShiftSpec,
     gen_random_stream,
@@ -274,10 +275,10 @@ def simulate(kind, at, magnitude, ramp, count, seed, dim, fmt):
               help="Comma-separated list of generator seeds.")
 def experiment(which, count, dim, seeds):
     """Run a static-vs-online covariance experiment, CSV report to stdout."""
-    if count < 5 * (dim + 1):
+    if count < N_SEGMENTS * (dim + 1):
         raise click.UsageError(
-            f"count must be at least 5 * (dim + 1) = {5 * (dim + 1)} so each segment "
-            f"can support a fit, got {count}"
+            f"count must be at least {N_SEGMENTS} * (dim + 1) = {N_SEGMENTS * (dim + 1)} "
+            f"so each segment can support a fit, got {count}"
         )
     try:
         seed_list = [int(token) for token in seeds.split(",") if token.strip() != ""]

@@ -24,12 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .errors import (
-    InsufficientDataError,
-    InvalidInputError,
-    NotPositiveDefiniteError,
-    SingularUpdateError,
-)
+from .errors import InsufficientDataError, InvalidInputError, NotPositiveDefiniteError
 from .linalg import CovBlend
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -71,7 +66,6 @@ class GaussianModel:
 class MultiVerdict:
     """Scoring result for one vector: density, Mahalanobis form, and flag."""
 
-    x: np.ndarray
     log_density: float
     density: float
     mahalanobis_sq: float
@@ -148,12 +142,12 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
 
     A degenerate residual (q below 1e-30, e.g. x at the mean) updates only
     the mean and count. The inverse and log-determinant are rebuilt exactly
-    when the Sherman-Morrison denominator is unsafe, when the residual of
-    the pre-update pair along d, ‖C w - d‖∞ / ‖d‖∞, exceeds ``DRIFT_LIMIT``,
-    or after ``REFACTOR_EVERY`` rank-one updates. A point is refused, and
-    the model returned unchanged, when its rank-one term would swamp C in
-    float64, (beta/alpha) q eps >= 1 with eps the machine epsilon (a huge
-    but finite x), or when the blend is non-finite or cannot be factorized.
+    when the residual of the pre-update pair along d, ‖C w - d‖∞ / ‖d‖∞,
+    exceeds ``DRIFT_LIMIT``, or after ``REFACTOR_EVERY`` rank-one updates.
+    A point is refused, and the model returned unchanged, when its rank-one
+    term would swamp C in float64, (beta/alpha) q eps >= 1 with eps the
+    machine epsilon (a huge but finite x), or when the blend is non-finite
+    or cannot be factorized.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.m:
@@ -177,16 +171,13 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
     updates = model.updates_since_refactor + 1
     drift = float(np.abs(model.cov @ w - d).max() / np.abs(d).max())
     if updates < REFACTOR_EVERY and drift <= DRIFT_LIMIT:
-        try:
-            cinv = linalg.sherman_morrison_update(model.cinv, d, model.blend)
-        except SingularUpdateError:
-            pass
-        else:
-            log_det = model.log_det + model.m * math.log(alpha) + math.log1p(beta / alpha * q)
-            return replace(
-                model, n=model.n + 1, mu=mu, cov=cov, cinv=cinv, log_det=log_det,
-                updates_since_refactor=updates,
-            )
+        # q >= 1e-30 here, so the kernel's denominator 1 + (beta/alpha) q is >= 1.
+        cinv = linalg.sherman_morrison_update(model.cinv, d, model.blend)
+        log_det = model.log_det + model.m * math.log(alpha) + math.log1p(beta / alpha * q)
+        return replace(
+            model, n=model.n + 1, mu=mu, cov=cov, cinv=cinv, log_det=log_det,
+            updates_since_refactor=updates,
+        )
     try:
         cov, cinv, log_det, lam = _factorized(cov)
     except NotPositiveDefiniteError:
@@ -277,6 +268,8 @@ def score(model: GaussianModel, x, tau: float | None = None) -> MultiVerdict:
     log-density falls strictly below log tau (tau = 0 flags nothing). Both
     comparisons stay in log space, so they do not depend on the scale of
     the data; ``density`` is exp(log density), inf where that overflows.
+    A finite point whose d² overflows scores d² = inf; a point with a
+    non-finite entry raises InvalidInputError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.m:
@@ -284,7 +277,12 @@ def score(model: GaussianModel, x, tau: float | None = None) -> MultiVerdict:
     if tau is not None and not (math.isfinite(tau) and tau >= 0.0):
         raise InvalidInputError(f"tau must be finite and >= 0, got {tau}")
     d = x - model.mu
-    maha = max(float(d @ model.cinv @ d), 0.0)
+    maha = float(d @ model.cinv @ d)
+    if not math.isfinite(maha):
+        if not np.isfinite(x).all():
+            raise InvalidInputError("point contains non-finite entries")
+        maha = math.inf  # d² of a finite x overflows to inf, or to NaN as inf - inf
+    maha = max(maha, 0.0)
     log_density = -0.5 * (model.m * LOG_2PI + model.log_det + maha)
     try:
         density = math.exp(log_density)
@@ -295,7 +293,6 @@ def score(model: GaussianModel, x, tau: float | None = None) -> MultiVerdict:
     else:
         is_anomaly = tau > 0.0 and log_density < math.log(tau)
     return MultiVerdict(
-        x=x,
         log_density=log_density,
         density=density,
         mahalanobis_sq=maha,

@@ -1,8 +1,8 @@
 """Exception types raised across the library.
 
 Everything derives from ValueError so generic callers can treat any of
-these as a bad-input condition, while the detector loop can catch the
-specific recoverable ones (SingularUpdateError, NotPositiveDefiniteError).
+these as a bad-input condition, while the detector can catch the specific
+recoverable one (NotPositiveDefiniteError, on which it refuses the point).
 """
 
 

@@ -1,15 +1,15 @@
 """Experiment engine: AAD metric, segmented static-vs-online protocols, and
 synthetic stream generators.
 
-Both experiment protocols split the stream into segments, fit the model on
-a growing static prefix, run the online updates over part of the rest, and
-score the blended covariance against the batch covariance of everything
-consumed. The protocols never score points between updates, so each online
-segment is absorbed by one closed-form ``update_many`` call rather than
-point by point; the covariance is the same, and the inverse scored by
-``aad_inverse`` is the exact inverse of the blended covariance, not a
-Sherman-Morrison-maintained one. ``aad`` is the mean absolute relative
-deviation over the flattened matrix entries.
+Both experiment protocols split the stream into ``N_SEGMENTS`` segments,
+fit the model on a growing static prefix, run the online updates over part
+of the rest, and score the blended covariance against the batch covariance
+of everything consumed. The protocols never score points between updates,
+so each online segment is absorbed by one closed-form ``update_many`` call
+rather than point by point; the covariance is the same, and the inverse
+scored by ``aad_inverse`` is the exact inverse of the blended covariance,
+not a Sherman-Morrison-maintained one. ``aad`` is the mean absolute
+relative deviation over the flattened matrix entries.
 """
 
 from __future__ import annotations
@@ -28,27 +28,8 @@ SHIFT_GRADUAL = "gradual-distributional"
 SHIFT_KINDS = (SHIFT_ABRUPT_TRANSIENT, SHIFT_ABRUPT_DISTRIBUTIONAL, SHIFT_GRADUAL)
 
 TRUTH_EPSILON = 1e-12
-CSV_HEADER = "experiment,static_count,aad,points,seed,elapsed_ms"
-
-
-@dataclass(frozen=True)
-class SegmentPlan:
-    """How to segment a stream; the protocol is the function that runs it.
-
-    ``static_count`` pins a single static-prefix size; when None the
-    experiment sweeps every size from 1 to n_segments - 1.
-    """
-
-    n_segments: int = 5
-    static_count: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_segments < 2:
-            raise InvalidInputError(f"need at least 2 segments, got {self.n_segments}")
-        if self.static_count is not None and not 1 <= self.static_count <= self.n_segments - 1:
-            raise InvalidInputError(
-                f"static_count must be in [1, {self.n_segments - 1}], got {self.static_count}"
-            )
+N_SEGMENTS = 5
+CSV_HEADER = "experiment,static_count,aad,points,seed,elapsed_ms,aad_inverse"
 
 
 @dataclass(frozen=True)
@@ -117,22 +98,17 @@ def split_segments(data: np.ndarray, n_segments: int) -> list[np.ndarray]:
     return [data[bounds[i] : bounds[i + 1]] for i in range(n_segments)]
 
 
-def _run_protocol(data, plan: SegmentPlan, to_end: bool) -> list[AadReport]:
+def _run_protocol(data, to_end: bool) -> list[AadReport]:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
-    segments = split_segments(data, plan.n_segments)
-    counts = (
-        [plan.static_count]
-        if plan.static_count is not None
-        else list(range(1, plan.n_segments))
-    )
+    segments = split_segments(data, N_SEGMENTS)
     reports = []
-    for static_count in counts:
+    for static_count in range(1, N_SEGMENTS):
         start = time.perf_counter()
         static = np.concatenate(segments[:static_count])
         model = fit_static(static)
-        end = plan.n_segments if to_end else static_count + 1
+        end = N_SEGMENTS if to_end else static_count + 1
         online = np.concatenate(segments[static_count:end])
         consumed = np.concatenate(segments[:end])
         model = update_many(model, online)
@@ -151,23 +127,23 @@ def _run_protocol(data, plan: SegmentPlan, to_end: bool) -> list[AadReport]:
     return reports
 
 
-def run_experiment_1(data, plan: SegmentPlan | None = None) -> list[AadReport]:
+def run_experiment_1(data) -> list[AadReport]:
     """Online phase over the single segment after the static prefix.
 
-    For each static prefix size in ``plan`` (default ``SegmentPlan()``), fit
-    on that prefix, update through the next segment only, and compare
-    against the batch covariance of the prefix plus that segment.
+    For each static prefix of 1 to ``N_SEGMENTS`` - 1 segments, fit on that
+    prefix, update through the next segment only, and compare against the
+    batch covariance of the prefix plus that segment.
     """
-    return _run_protocol(data, plan or SegmentPlan(), to_end=False)
+    return _run_protocol(data, to_end=False)
 
 
-def run_experiment_2(data, plan: SegmentPlan | None = None) -> list[AadReport]:
+def run_experiment_2(data) -> list[AadReport]:
     """Online phase over every remaining segment.
 
     Same sweep as experiment 1, but the updates continue to the end of the
     stream and the comparison target is the batch covariance of all data.
     """
-    return _run_protocol(data, plan or SegmentPlan(), to_end=True)
+    return _run_protocol(data, to_end=True)
 
 
 def gen_random_stream(count: int, dim: int, seed: int) -> np.ndarray:
@@ -205,5 +181,6 @@ def write_reports_csv(out, tagged_reports) -> None:
     for experiment, seed, report in tagged_reports:
         out.write(
             f"{experiment},{report.static_count},{report.aad:.17g},"
-            f"{report.points_evaluated},{seed},{report.elapsed * 1000.0:.17g}\n"
+            f"{report.points_evaluated},{seed},{report.elapsed * 1000.0:.17g},"
+            f"{report.aad_inverse:.17g}\n"
         )

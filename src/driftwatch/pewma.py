@@ -70,11 +70,9 @@ class PewmaState:
 class ScoredPoint:
     """Verdict for one point: standardized residual, density, and flag."""
 
-    value: float
     z: float
     density: float
     is_anomaly: bool
-    mean_estimate: float
     stddev_estimate: float
 
 
@@ -116,11 +114,9 @@ def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaS
 
     new_state = PewmaState(mean=mean, var=var, t=t_in, sigma_hat=sigma)
     scored = ScoredPoint(
-        value=x,
         z=z,
         density=density,
         is_anomaly=density < params.tau and t_in > params.warmup_T,
-        mean_estimate=mean,
         stddev_estimate=sigma,
     )
     return new_state, scored

@@ -236,6 +236,20 @@ class TestDetectMultivariate:
         after_index = lambda rows: [row.split(",", 1)[1] for row in rows]
         assert after_index(resumed) == after_index(whole.stdout.splitlines()[-30:])
 
+    def test_malformed_and_non_finite_lines_skipped(self, runner):
+        lines = self.stream_text(130, 3, seed=9).splitlines()
+        args = ["detect", "--mode", "multivariate"]
+        bad = lines[:50] + ["1,abc,3"] + lines[50:119] + ["1,nan,3"] + lines[119:]
+        result = runner.invoke(main, args, input="\n".join(bad) + "\n")
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            "line 51: skipped: could not convert string to float: 'abc'",
+            "line 121: skipped: non-finite value in '1,nan,3'",
+        ]
+        clean = runner.invoke(main, args, input="\n".join(lines) + "\n")
+        assert clean.exit_code == 0
+        assert result.stdout == clean.stdout
+
     def test_checkpoint_requires_multivariate(self, runner, tmp_path):
         result = runner.invoke(
             main, ["detect", "--checkpoint", str(tmp_path / "x")], input="1.0\n"
@@ -314,7 +328,7 @@ class TestExperimentCommand:
         )
         assert result.exit_code == 0
         lines = result.stdout.splitlines()
-        assert lines[0] == "experiment,static_count,aad,points,seed,elapsed_ms"
+        assert lines[0] == "experiment,static_count,aad,points,seed,elapsed_ms,aad_inverse"
         assert len(lines) == 1 + 4 * 2
 
     def test_matches_harness_oracle_fixture(self, runner):

@@ -167,6 +167,24 @@ class TestUpdateOnline:
         model = replace(model, updates_since_refactor=REFACTOR_EVERY - updates_to_rebuild)
         assert update_online(model, np.full(3, value)) is model
 
+    def test_non_finite_point_rejected(self):
+        rng = np.random.default_rng(16)
+        model = fitted_model(rng)
+        for value in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                update_online(model, np.array([0.0, value, 0.0]))
+
+    def test_blend_that_overflows_is_refused(self):
+        # At scale 1e150, q is about 3e10 for a residual of 1e155 per entry,
+        # far below the swamping bound, but d dᵀ overflows; 1e153 fits.
+        rng = np.random.default_rng(17)
+        model = fit_static(rng.standard_normal((100, 3)) * 1e150)
+        assert update_online(model, model.mu + 1e155) is model
+        updated = update_online(model, model.mu + 1e153)
+        assert updated.n == model.n + 1
+        assert np.isfinite(updated.cov).all()
+        assert not np.array_equal(updated.cov, model.cov)
+
     def test_streamed_mean_equals_batch_mean(self):
         rng = np.random.default_rng(21)
         data = rng.standard_normal((500, 4)) * 3.0 + 1.0
@@ -351,6 +369,24 @@ class TestScore:
         model = fitted_model(rng)
         with pytest.raises(InvalidInputError):
             score(model, np.zeros(2), 0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, value):
+        rng = np.random.default_rng(3)
+        model = fitted_model(rng)
+        with pytest.raises(InvalidInputError):
+            score(model, np.array([value, 0.0, 0.0]))
+
+    def test_overflowing_finite_point_is_flagged(self):
+        # Strongly correlated coordinates give C⁻¹ entries of both signs, so
+        # the terms of d C⁻¹ overflow to +inf and -inf and d² comes out NaN.
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal((200, 2))
+        model = fit_static(data @ np.array([[1.0, 1.0], [0.0, 0.1]]))
+        verdict = score(model, np.array([1e307, 1e307]))
+        assert verdict.mahalanobis_sq == math.inf
+        assert verdict.is_anomaly
+        assert score(model, np.array([1e307, 1e307]), tau=0.01).is_anomaly
 
     def test_negative_tau_rejected(self):
         rng = np.random.default_rng(3)

@@ -12,7 +12,6 @@ from driftwatch.errors import (
 from driftwatch.harness import (
     CSV_HEADER,
     AadReport,
-    SegmentPlan,
     ShiftSpec,
     aad,
     gen_random_stream,
@@ -98,12 +97,6 @@ class TestSegments:
         with pytest.raises(InsufficientDataError):
             split_segments(np.zeros((3, 1)), 5)
 
-    def test_plan_validation(self):
-        with pytest.raises(InvalidInputError):
-            SegmentPlan(static_count=5)
-        with pytest.raises(InvalidInputError):
-            SegmentPlan(n_segments=1)
-
 
 class TestExperiments:
     def test_matches_oracle_experiment_1(self):
@@ -180,13 +173,6 @@ class TestExperiments:
         a = [r.aad for r in run_experiment_1(data)]
         b = [r.aad for r in run_experiment_1(data)]
         assert a == b
-
-    def test_single_static_count_plan(self):
-        data = gen_random_stream(60, 2, seed=23)
-        only = run_experiment_1(data, SegmentPlan(static_count=2))
-        full = run_experiment_1(data)
-        assert len(only) == 1
-        assert only[0].aad == full[1].aad
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
@@ -265,4 +251,4 @@ class TestReportCsv:
         write_reports_csv(buf, [(1, 7, report)])
         lines = buf.getvalue().splitlines()
         assert lines[0] == CSV_HEADER
-        assert lines[1] == "1,2,0.125,40,7,500"
+        assert lines[1] == "1,2,0.125,40,7,500,0.25"
