@@ -9,6 +9,7 @@ significant digits so downstream parsing recovers the exact float64 values.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ import click
 import numpy as np
 
 from .detector import (
+    check_tau,
     fit_static,
     load_model,
     save_model,
@@ -59,35 +61,25 @@ class DetectorConfig:
     sigma_floor: float = PewmaParams.sigma_floor
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+@functools.cache
+def _row_format(count: int) -> str:
+    """One ``%``-format for ``count`` comma-separated floats, 17 digits each."""
+    return ",".join(["%.17g"] * count)
 
 
 def _make_emitter(out, fmt: str):
     if fmt == "jsonl":
 
         def emit(index, values, density, log_score, flag):
-            out.write(
-                json.dumps(
-                    {
-                        "index": index,
-                        "values": [float(v) for v in values],
-                        "score": float(density),
-                        "log_score": float(log_score),
-                        "is_anomaly": bool(flag),
-                    }
-                )
-                + "\n"
-            )
+            record = {"index": index, "values": values, "score": float(density),
+                      "log_score": float(log_score), "is_anomaly": bool(flag)}
+            out.write(json.dumps(record) + "\n")
 
     else:
 
         def emit(index, values, density, log_score, flag):
-            joined = ",".join(_fmt(v) for v in values)
-            out.write(
-                f"{index},{joined},{_fmt(density)},{_fmt(log_score)},"
-                f"{'true' if flag else 'false'}\n"
-            )
+            line = "%d," + _row_format(len(values) + 2) + ",%s\n"
+            out.write(line % (index, *values, density, log_score, "true" if flag else "false"))
 
     return emit
 
@@ -99,9 +91,9 @@ def _parse_scalar(text: str) -> float:
     return value
 
 
-def _parse_vector(text: str) -> list[float]:
-    values = [float(token) for token in text.split(",")]
-    if not all(math.isfinite(v) for v in values):
+def _parse_vector(text: str) -> np.ndarray:
+    values = np.array(text.split(","), dtype=np.float64)
+    if not np.isfinite(values).all():
         raise ValueError(f"non-finite value in {text!r}")
     return values
 
@@ -148,28 +140,29 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
             index += 1
         return EXIT_SKIPPED_LINES if skipped else EXIT_OK
 
+    check_tau(config.tau)
     model = None
     dim = None
-    buffer: list[list[float]] = []
+    buffer: list[np.ndarray] = []
     if checkpoint is not None and os.path.exists(checkpoint):
         model = load_model(checkpoint)
         dim = model.m
 
     for line_no, text in _data_lines(lines, header):
         try:
-            values = _parse_vector(text)
+            x = _parse_vector(text)
         except ValueError as exc:
             err.write(f"line {line_no}: skipped: {exc}\n")
             skipped += 1
             continue
         if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            err.write(f"line {line_no}: fatal: dimension changed from {dim} to {len(values)}\n")
+            dim = len(x)
+        elif len(x) != dim:
+            err.write(f"line {line_no}: fatal: dimension changed from {dim} to {len(x)}\n")
             return EXIT_FATAL
 
         if model is None:
-            buffer.append(values)
+            buffer.append(x)
             if len(buffer) >= config.static_count_points:
                 try:
                     model = fit_static(np.asarray(buffer))
@@ -178,9 +171,8 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
                     return EXIT_FATAL
                 buffer.clear()
         else:
-            x = np.asarray(values)
             verdict = score(model, x, config.tau)
-            emit(index, values, verdict.density, verdict.log_density, verdict.is_anomaly)
+            emit(index, x.tolist(), verdict.density, verdict.log_density, verdict.is_anomaly)
             model = update_online(model, x)
         index += 1
 
@@ -260,11 +252,12 @@ def simulate(kind, at, magnitude, ramp, count, seed, dim, fmt):
         raise click.UsageError(str(exc)) from exc
     out = sys.stdout
     if fmt == "jsonl":
-        for row in stream:
-            out.write(json.dumps([float(v) for v in row]) + "\n")
+        for row in stream.tolist():
+            out.write(json.dumps(row) + "\n")
     else:
-        for row in stream:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+        line = _row_format(dim) + "\n"
+        for row in stream.tolist():
+            out.write(line % tuple(row))
 
 
 @main.command()

@@ -147,16 +147,23 @@ def sherman_morrison_update(cinv, v, blend: CovBlend) -> np.ndarray:
         (1/alpha) * (C⁻¹ - (beta/alpha) * C⁻¹ v vᵀ C⁻¹ / (1 + (beta/alpha) vᵀ C⁻¹ v))
 
     and symmetrizes the result to suppress floating-point asymmetry drift.
-    Raises SingularUpdateError when the denominator falls to 1e-12 or below.
+    Validates its inputs, and raises SingularUpdateError when the denominator
+    falls to 1e-12 or below, before the unchecked core ``_sherman_morrison``.
     """
     cinv = _as_square_matrix(cinv, "inverse covariance")
     v = _as_vector(v, cinv.shape[0], "direction")
-    gamma = blend.beta / blend.alpha
-    w = cinv @ v
-    denom = 1.0 + gamma * float(v @ w)
+    w = cinv.dot(v)
+    q = float(v.dot(w))
+    denom = 1.0 + blend.beta / blend.alpha * q
     if not math.isfinite(denom) or denom <= SINGULAR_DENOMINATOR:
         raise SingularUpdateError(f"rank-one denominator {denom:g} is not safely positive")
-    out = (cinv - np.outer(w, w) * (gamma / denom)) / blend.alpha
+    return _sherman_morrison(cinv, w, q, blend)
+
+
+def _sherman_morrison(cinv: np.ndarray, w: np.ndarray, q: float, blend: CovBlend) -> np.ndarray:
+    """The identity above from w = C⁻¹ v and q = vᵀ w; trusts the caller."""
+    gamma = blend.beta / blend.alpha
+    out = (cinv - np.multiply.outer(w, w) * (gamma / (1.0 + gamma * q))) / blend.alpha
     return 0.5 * (out + out.T)
 
 

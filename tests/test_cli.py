@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from driftwatch.cli import DetectorConfig, detect, main
-from driftwatch.detector import load_model
-from driftwatch.pewma import PewmaParams
+from driftwatch.cli import DetectorConfig, detect, main, run_detect
+from driftwatch.detector import fit_static, load_model, score, update_online
+from driftwatch.errors import InvalidInputError
+from driftwatch.pewma import INV_SQRT_2PI, PewmaParams, pewma_init, pewma_step
 from driftwatch.harness import gen_random_stream, gen_shift_stream, ShiftSpec, run_experiment_1
 
 
@@ -250,6 +252,23 @@ class TestDetectMultivariate:
         assert clean.exit_code == 0
         assert result.stdout == clean.stdout
 
+    @pytest.mark.parametrize("tau", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("count", [0, 150])
+    def test_bad_tau_rejected_before_reading_input(self, runner, tau, count):
+        text = self.stream_text(count, 3, seed=10) if count else ""
+        result = runner.invoke(main, ["detect", "--mode", "multivariate", "--tau", tau],
+                               input=text)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "tau must be finite and >= 0" in result.stderr
+
+    def test_bad_tau_reads_no_line(self):
+        lines = iter(["1,2\n"] * 150)
+        config = DetectorConfig(mode="multivariate", tau=-1.0)
+        with pytest.raises(InvalidInputError):
+            run_detect(lines, config, io.StringIO(), io.StringIO())
+        assert len(list(lines)) == 150
+
     def test_checkpoint_requires_multivariate(self, runner, tmp_path):
         result = runner.invoke(
             main, ["detect", "--checkpoint", str(tmp_path / "x")], input="1.0\n"
@@ -294,6 +313,66 @@ class TestDetectMultivariate:
         assert len(rows) == 5
         assert rows[0]["index"] == 40 and len(rows[0]["values"]) == 3
         assert {"score", "log_score", "is_anomaly"} <= rows[0].keys()
+
+
+class TestOutputContract:
+    """Every verdict line equals a fold of the library calls, formatted value
+    by value: 17 significant digits in CSV, ``json.dumps`` in JSONL."""
+
+    @staticmethod
+    def line(fmt, index, values, density, log_score, flag):
+        if fmt == "jsonl":
+            record = {"index": index, "values": [float(v) for v in values],
+                      "score": float(density), "log_score": float(log_score),
+                      "is_anomaly": bool(flag)}
+            return json.dumps(record) + "\n"
+        floats = ",".join(f"{v:.17g}" for v in [*values, density, log_score])
+        return f"{index},{floats},{'true' if flag else 'false'}\n"
+
+    @pytest.mark.parametrize("tau", [None, 1e-9])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("dim", [2, 15, 50])
+    def test_multivariate(self, runner, dim, fmt, tau):
+        rows = gen_random_stream(140, dim, seed=dim)
+        rows[125:] += 2.0
+        lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
+        lines.insert(110, ",".join(["1"] * (dim - 1) + ["x"]))
+        args = ["detect", "--mode", "multivariate", "--format", fmt]
+        if tau is not None:
+            args += ["--tau", repr(tau)]
+        result = runner.invoke(main, args, input="\n".join(lines) + "\n")
+        assert result.exit_code == 1
+        assert result.stderr == "line 111: skipped: could not convert string to float: 'x'\n"
+
+        model = fit_static(rows[:100])
+        expected = []
+        for index, x in enumerate(rows[100:], start=100):
+            verdict = score(model, x, tau)
+            expected.append(self.line(fmt, index, x, verdict.density, verdict.log_density,
+                                      verdict.is_anomaly))
+            model = update_online(model, x)
+        assert result.stdout == "".join(expected)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_univariate(self, runner, fmt):
+        spec = ShiftSpec(kind="abrupt-distributional", at=0.5, magnitude=5.0)
+        values = gen_shift_stream(300, spec, seed=3).tolist()
+        lines = [f"{v:.17g}" for v in values]
+        lines.insert(100, "abc")
+        result = runner.invoke(main, ["detect", "--format", fmt], input="\n".join(lines) + "\n")
+        assert result.exit_code == 1
+
+        params = PewmaParams()
+        state = pewma_init(values[0], params)
+        log_peak = math.log(INV_SQRT_2PI)
+        expected = [self.line(fmt, 0, [values[0]], INV_SQRT_2PI, log_peak, False)]
+        for index, value in enumerate(values[1:], start=1):
+            state, point = pewma_step(state, value, params)
+            log_score = log_peak - 0.5 * point.z * point.z
+            expected.append(self.line(fmt, index, [value], point.density, log_score,
+                                      point.is_anomaly))
+        assert any(row.endswith(("true\n", "true}\n")) for row in expected)
+        assert result.stdout == "".join(expected)
 
 
 class TestRoundTrip:

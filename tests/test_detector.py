@@ -18,7 +18,7 @@ from driftwatch.detector import (
     update_online,
 )
 from driftwatch.errors import InsufficientDataError, InvalidInputError
-from driftwatch.linalg import CovBlend
+from driftwatch.linalg import CovBlend, sherman_morrison_update
 from driftwatch.pewma import PewmaParams, PewmaState, pewma_step
 
 
@@ -184,6 +184,35 @@ class TestUpdateOnline:
         assert updated.n == model.n + 1
         assert np.isfinite(updated.cov).all()
         assert not np.array_equal(updated.cov, model.cov)
+
+    @pytest.mark.parametrize("dim", [2, 15, 50])
+    def test_inverse_is_the_public_kernel(self, dim):
+        # Without a rebuild, the inverse is the public Sherman-Morrison
+        # kernel's, bit for bit: both run the same core.
+        rng = np.random.default_rng(18)
+        model = fitted_model(rng, n=2 * dim + 10, dim=dim)
+        checked = 0
+        for _ in range(300):
+            x = rng.standard_normal(dim) * 2.0
+            updated = update_online(model, x)
+            if updated.updates_since_refactor == model.updates_since_refactor + 1:
+                expected = sherman_morrison_update(model.cinv, x - model.mu, model.blend)
+                np.testing.assert_array_equal(updated.cinv, expected)
+                checked += 1
+            model = updated
+        assert checked >= 290
+
+    def test_does_not_mutate_argument(self):
+        rng = np.random.default_rng(19)
+        model = fitted_model(rng, n=40, dim=4)
+        model = replace(model, updates_since_refactor=REFACTOR_EVERY - 2)
+        for x in (model.mu.copy(), *rng.standard_normal((3, 4))):  # skip, update, rebuild, update
+            before = [a.copy() for a in (model.mu, model.cov, model.cinv)]
+            updated = update_online(model, x)
+            for a, b in zip((model.mu, model.cov, model.cinv), before):
+                np.testing.assert_array_equal(a, b)
+            model = updated
+        assert model.updates_since_refactor == 1
 
     def test_streamed_mean_equals_batch_mean(self):
         rng = np.random.default_rng(21)
