@@ -8,16 +8,7 @@ holds the metric, the experiment protocols, and the synthetic generators;
 ``cli`` exposes everything as the ``driftwatch`` command.
 """
 
-from .errors import (
-    DegenerateDirectionError,
-    DegenerateTruthError,
-    InsufficientDataError,
-    InvalidFactorError,
-    InvalidInputError,
-    NotPositiveDefiniteError,
-    SingularUpdateError,
-    UninitializedStateError,
-)
+from .errors import InvalidInputError, NotPositiveDefiniteError
 from .linalg import (
     CovBlend,
     cholesky_factorize,

@@ -27,7 +27,7 @@ from .detector import (
     score,
     update_online,
 )
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import InvalidInputError
 from .harness import (
     N_SEGMENTS,
     SHIFT_KINDS,
@@ -141,6 +141,8 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
         return EXIT_SKIPPED_LINES if skipped else EXIT_OK
 
     check_tau(config.tau)
+    if config.static_count_points < 2:
+        raise InvalidInputError(f"static points must be >= 2, got {config.static_count_points}")
     model = None
     dim = None
     buffer: list[np.ndarray] = []
@@ -166,7 +168,7 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
             if len(buffer) >= config.static_count_points:
                 try:
                     model = fit_static(np.asarray(buffer))
-                except (InsufficientDataError, InvalidInputError) as exc:
+                except InvalidInputError as exc:
                     err.write(f"fatal: static fit failed: {exc}\n")
                     return EXIT_FATAL
                 buffer.clear()

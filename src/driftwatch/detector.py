@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InsufficientDataError, InvalidInputError, NotPositiveDefiniteError
+from .errors import InvalidInputError, NotPositiveDefiniteError
 from .linalg import CovBlend
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -58,10 +58,6 @@ class GaussianModel:
     blend: CovBlend
     updates_since_refactor: int = 0
     jitter_used: float = 0.0
-
-    def covariance(self) -> np.ndarray:
-        """The carried covariance matrix."""
-        return self.cov
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,7 @@ def fit_static(data) -> GaussianModel:
         raise InvalidInputError("data contains non-finite entries")
     n, m = data.shape
     if n <= m:
-        raise InsufficientDataError(f"need at least {m + 1} samples for dimension {m}, got {n}")
+        raise InvalidInputError(f"need at least {m + 1} samples for dimension {m}, got {n}")
 
     mu = data.mean(axis=0)
     cov = np.atleast_2d(np.cov(data, rowvar=False, ddof=1))
@@ -336,8 +332,10 @@ def load_model(src) -> GaussianModel:
     Raises InvalidInputError unless the file starts with the current version
     line, every value is finite, the blend weights are valid, the refactor
     counter is in [0, ``REFACTOR_EVERY``), the jitter is >= 0, the
-    covariance is symmetric and factorizes without jitter, and the stored
-    log-determinant is within ``LOG_DET_TOL`` of that factor's.
+    covariance is symmetric and factorizes without jitter, the inverse is
+    symmetric with a positive diagonal (near-singular models the detector
+    writes may not factorize it), and the stored log-determinant is within
+    ``LOG_DET_TOL`` of that factor's.
     """
     if isinstance(src, (str, os.PathLike)):
         with open(src, "r", encoding="ascii") as handle:
@@ -386,6 +384,10 @@ def load_model(src) -> GaussianModel:
     cinv = np.vstack([parse_row(lines[4 + m + i], "inverse") for i in range(m)])
     if not np.array_equal(cov, cov.T):
         raise InvalidInputError("checkpoint covariance is not symmetric")
+    if not np.array_equal(cinv, cinv.T):
+        raise InvalidInputError("checkpoint inverse is not symmetric")
+    if (np.diag(cinv) <= 0.0).any():
+        raise InvalidInputError("checkpoint inverse has a non-positive diagonal entry")
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirectionError,
-    InvalidFactorError,
-    InvalidInputError,
-    NotPositiveDefiniteError,
-    SingularUpdateError,
-)
+from .errors import InvalidInputError, NotPositiveDefiniteError
 
 DEFAULT_JITTER = 1e-10
 MAX_JITTER_DOUBLINGS = 40
@@ -62,12 +56,13 @@ def _as_vector(b, dim: int, name: str) -> np.ndarray:
     return b
 
 
-def cholesky_factorize(c, jitter: float = DEFAULT_JITTER) -> tuple[np.ndarray, float]:
+def cholesky_factorize(c) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a symmetric matrix, with jitter escalation.
 
     Returns ``(factor, lam)`` where ``factor @ factor.T == c + lam * I``.
     ``lam`` is 0 when ``c`` factorizes directly; otherwise the smallest
-    ``jitter * 2**k`` (k = 0, 1, 2, ...) that makes factorization succeed.
+    ``DEFAULT_JITTER * 2**k`` (k = 0, 1, 2, ...) that makes factorization
+    succeed.
 
     Raises InvalidInputError for non-square, non-finite, or asymmetric
     input, and NotPositiveDefiniteError once the escalation ladder is
@@ -76,15 +71,13 @@ def cholesky_factorize(c, jitter: float = DEFAULT_JITTER) -> tuple[np.ndarray, f
     c = _as_square_matrix(c, "covariance")
     if not np.isfinite(c).all():
         raise InvalidInputError("covariance contains non-finite entries")
-    if not (math.isfinite(jitter) and jitter > 0.0):
-        raise InvalidInputError(f"jitter must be finite and > 0, got {jitter}")
     scale = max(1.0, float(np.abs(c).max())) if c.size else 1.0
     if c.size and float(np.abs(c - c.T).max()) > SYMMETRY_TOL * scale:
         raise InvalidInputError("covariance is not symmetric")
     c = 0.5 * (c + c.T)
 
     eye = np.eye(c.shape[0])
-    ladder = [0.0] + [jitter * 2.0**k for k in range(MAX_JITTER_DOUBLINGS + 1)]
+    ladder = [0.0] + [DEFAULT_JITTER * 2.0**k for k in range(MAX_JITTER_DOUBLINGS + 1)]
     for lam in ladder:
         try:
             return np.linalg.cholesky(c + lam * eye), lam
@@ -115,8 +108,8 @@ def factor_rank_one_update(a, z, blend: CovBlend) -> np.ndarray:
     triangular factor of that blend is unique, and triangularity is what
     keeps forward substitution and the diagonal log-determinant valid.)
 
-    Raises DegenerateDirectionError when ``‖z‖²`` is below 1e-30; callers
-    should skip the update for such directions.
+    Raises InvalidInputError when ``‖z‖²`` is below 1e-30; callers should
+    skip the update for such directions.
     """
     a = _as_square_matrix(a, "factor")
     z = _as_vector(z, a.shape[0], "direction")
@@ -124,7 +117,7 @@ def factor_rank_one_update(a, z, blend: CovBlend) -> np.ndarray:
     if not math.isfinite(norm_sq):
         raise InvalidInputError("direction contains non-finite entries")
     if norm_sq < DEGENERATE_NORM_SQ:
-        raise DegenerateDirectionError(f"direction norm² {norm_sq:g} is degenerate")
+        raise InvalidInputError(f"direction norm² {norm_sq:g} is degenerate")
     out = a * math.sqrt(blend.alpha)
     x = (a @ z) * math.sqrt(blend.beta)
     # Rotate x into the columns of out one at a time (Gill, Golub, Murray
@@ -147,7 +140,7 @@ def sherman_morrison_update(cinv, v, blend: CovBlend) -> np.ndarray:
         (1/alpha) * (C⁻¹ - (beta/alpha) * C⁻¹ v vᵀ C⁻¹ / (1 + (beta/alpha) vᵀ C⁻¹ v))
 
     and symmetrizes the result to suppress floating-point asymmetry drift.
-    Validates its inputs, and raises SingularUpdateError when the denominator
+    Validates its inputs, and raises InvalidInputError when the denominator
     falls to 1e-12 or below, before the unchecked core ``_sherman_morrison``.
     """
     cinv = _as_square_matrix(cinv, "inverse covariance")
@@ -156,7 +149,7 @@ def sherman_morrison_update(cinv, v, blend: CovBlend) -> np.ndarray:
     q = float(v.dot(w))
     denom = 1.0 + blend.beta / blend.alpha * q
     if not math.isfinite(denom) or denom <= SINGULAR_DENOMINATOR:
-        raise SingularUpdateError(f"rank-one denominator {denom:g} is not safely positive")
+        raise InvalidInputError(f"rank-one denominator {denom:g} is not safely positive")
     return _sherman_morrison(cinv, w, q, blend)
 
 
@@ -172,7 +165,7 @@ def log_det_from_factor(a) -> float:
     a = _as_square_matrix(a, "factor")
     diag = np.diag(a)
     if diag.size and (not np.isfinite(diag).all() or (diag <= 0.0).any()):
-        raise InvalidFactorError("factor diagonal must be finite and strictly positive")
+        raise InvalidInputError("factor diagonal must be finite and strictly positive")
     return 2.0 * float(np.sum(np.log(diag)))
 
 
@@ -186,7 +179,7 @@ def inverse_from_factor(a) -> np.ndarray:
     a = _as_square_matrix(a, "factor")
     diag = np.diag(a)
     if diag.size and (not np.isfinite(diag).all() or (diag <= 0.0).any()):
-        raise InvalidFactorError("factor diagonal must be finite and strictly positive")
+        raise InvalidInputError("factor diagonal must be finite and strictly positive")
     w = np.linalg.inv(np.tril(a))
     out = w.T @ w
     return 0.5 * (out + out.T)

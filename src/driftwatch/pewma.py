@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, UninitializedStateError
+from .errors import InvalidInputError
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -73,7 +73,6 @@ class ScoredPoint:
     z: float
     density: float
     is_anomaly: bool
-    stddev_estimate: float
 
 
 def pewma_init(x1: float, params: PewmaParams) -> PewmaState:
@@ -94,7 +93,7 @@ def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaS
     gated off during warmup.
     """
     if state.t < 1:
-        raise UninitializedStateError("state has absorbed no points; call pewma_init first")
+        raise InvalidInputError("state has absorbed no points; call pewma_init first")
     if not math.isfinite(x):
         raise InvalidInputError(f"observation must be finite, got {x}")
 
@@ -117,7 +116,6 @@ def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaS
         z=z,
         density=density,
         is_anomaly=density < params.tau and t_in > params.warmup_T,
-        stddev_estimate=sigma,
     )
     return new_state, scored
 

@@ -97,7 +97,7 @@ def test_criterion_03_long_run_consistency():
     worst = 0.0
     for _ in range(500):
         model = update_online(model, rng.standard_normal(5))
-        drift = np.abs(model.cinv @ model.covariance() - np.eye(5)).sum(axis=1).max()
+        drift = np.abs(model.cinv @ model.cov - np.eye(5)).sum(axis=1).max()
         worst = max(worst, drift)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 5.0

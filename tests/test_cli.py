@@ -269,6 +269,26 @@ class TestDetectMultivariate:
             run_detect(lines, config, io.StringIO(), io.StringIO())
         assert len(list(lines)) == 150
 
+    @pytest.mark.parametrize("static_points", ["1", "0", "-3"])
+    @pytest.mark.parametrize("count", [0, 150])
+    def test_static_points_below_two_rejected_before_reading_input(self, runner, static_points,
+                                                                   count):
+        text = self.stream_text(count, 3, seed=10) if count else ""
+        result = runner.invoke(
+            main, ["detect", "--mode", "multivariate", "--static-points", static_points],
+            input=text,
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"static points must be >= 2, got {static_points}" in result.stderr
+
+    def test_static_points_below_two_reads_no_line(self):
+        lines = iter(["1,2\n"] * 150)
+        config = DetectorConfig(mode="multivariate", static_count_points=1)
+        with pytest.raises(InvalidInputError, match="static points"):
+            run_detect(lines, config, io.StringIO(), io.StringIO())
+        assert len(list(lines)) == 150
+
     def test_checkpoint_requires_multivariate(self, runner, tmp_path):
         result = runner.invoke(
             main, ["detect", "--checkpoint", str(tmp_path / "x")], input="1.0\n"

@@ -17,7 +17,7 @@ from driftwatch.detector import (
     update_many,
     update_online,
 )
-from driftwatch.errors import InsufficientDataError, InvalidInputError
+from driftwatch.errors import InvalidInputError
 from driftwatch.linalg import CovBlend, sherman_morrison_update
 from driftwatch.pewma import PewmaParams, PewmaState, pewma_step
 
@@ -57,7 +57,7 @@ class TestFitStatic:
         data = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         model = fit_static(data)
         np.testing.assert_allclose(model.mu, [0.5, 0.5])
-        np.testing.assert_allclose(model.covariance(), np.eye(2) / 3.0, atol=1e-12)
+        np.testing.assert_allclose(model.cov, np.eye(2) / 3.0, atol=1e-12)
         assert model.n == 4 and model.m == 2
 
     def test_whitened_data_gives_identity_factor(self):
@@ -72,10 +72,10 @@ class TestFitStatic:
     def test_identical_points_fall_back_to_jitter(self):
         model = fit_static(np.ones((10, 2)))
         assert model.jitter_used > 0.0
-        np.testing.assert_allclose(model.covariance(), model.jitter_used * np.eye(2), rtol=1e-9)
+        np.testing.assert_allclose(model.cov, model.jitter_used * np.eye(2), rtol=1e-9)
 
     def test_insufficient_data_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidInputError, match="need at least 4 samples"):
             fit_static(np.zeros((3, 3)))
 
     def test_non_finite_rejected(self):
@@ -87,12 +87,12 @@ class TestFitStatic:
     def test_one_dimensional_input(self):
         model = fit_static(np.array([-1.0, 0.0, 1.0]))
         assert model.m == 1
-        np.testing.assert_allclose(model.covariance(), [[1.0]], rtol=1e-12)
+        np.testing.assert_allclose(model.cov, [[1.0]], rtol=1e-12)
 
     def test_inverse_and_log_det_consistent(self):
         rng = np.random.default_rng(8)
         model = fitted_model(rng, n=100, dim=5)
-        cov = model.covariance()
+        cov = model.cov
         np.testing.assert_allclose(model.cinv @ cov, np.eye(5), atol=1e-9)
         assert model.log_det == pytest.approx(math.log(np.linalg.det(cov)), abs=1e-9)
 
@@ -118,27 +118,27 @@ class TestUpdateOnline:
             blend=CovBlend(0.8, 0.2),
         )
         updated = update_online(model, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(updated.covariance(), np.diag([1.0, 0.8]), rtol=1e-12)
+        np.testing.assert_allclose(updated.cov, np.diag([1.0, 0.8]), rtol=1e-12)
         np.testing.assert_allclose(updated.mu, [1.0 / 11.0, 0.0], rtol=1e-12)
 
     @staticmethod
     def _check_blend_each_step(dim, n_static, steps, scales, offset):
         rng = np.random.default_rng(12)
         model = fit_static(rng.standard_normal((n_static, dim)) * scales + offset)
-        direct = model.covariance()
+        direct = model.cov
         for _ in range(steps):
             x = rng.standard_normal(dim) * scales + offset
             d = x - model.mu
-            expected = model.blend.alpha * model.covariance() + model.blend.beta * np.outer(d, d)
+            expected = model.blend.alpha * model.cov + model.blend.beta * np.outer(d, d)
             direct = model.blend.alpha * direct + model.blend.beta * np.outer(d, d)
             model = update_online(model, x)
-            err = np.linalg.norm(model.covariance() - expected) / np.linalg.norm(expected)
+            err = np.linalg.norm(model.cov - expected) / np.linalg.norm(expected)
             assert err < 1e-9
         # No rebuild ran: the covariance, the lemma log-determinant and the
         # inverse were all carried by rank-one updates.
         assert model.updates_since_refactor == steps
-        assert rel_err(model.covariance(), direct) < 1e-12
-        assert abs(model.log_det - np.linalg.slogdet(model.covariance())[1]) < 1e-9
+        assert rel_err(model.cov, direct) < 1e-12
+        assert abs(model.log_det - np.linalg.slogdet(model.cov)[1]) < 1e-9
 
     def test_blend_matches_direct_arithmetic_each_step(self):
         self._check_blend_each_step(3, 50, 50, np.ones(3), 0.0)
@@ -153,7 +153,7 @@ class TestUpdateOnline:
         assert model.updates_since_refactor == 1
         updated = update_online(replace(model, cinv=model.cinv * 1.01), rng.standard_normal(4))
         assert updated.updates_since_refactor == 0
-        np.testing.assert_allclose(updated.cinv @ updated.covariance(), np.eye(4), atol=1e-9)
+        np.testing.assert_allclose(updated.cinv @ updated.cov, np.eye(4), atol=1e-9)
 
     @pytest.mark.parametrize(
         "value,updates_to_rebuild",
@@ -229,7 +229,7 @@ class TestUpdateOnline:
         model = fitted_model(rng, n=60, dim=5)
         for _ in range(500):
             model = update_online(model, rng.standard_normal(5))
-            drift = np.abs(model.cinv @ model.covariance() - np.eye(5)).sum(axis=1).max()
+            drift = np.abs(model.cinv @ model.cov - np.eye(5)).sum(axis=1).max()
             assert drift < 1e-4
 
     def test_periodic_refactor_counter(self):
@@ -279,7 +279,7 @@ class TestUpdateMany:
         batched = update_many(model, xs)
         assert batched.n == folded.n == n_static + n_online
         np.testing.assert_array_equal(batched.mu, folded.mu)
-        assert rel_err(batched.covariance(), folded.covariance()) < 1e-9
+        assert rel_err(batched.cov, folded.cov) < 1e-9
         assert rel_err(batched.cinv, folded.cinv) < 1e-9
         assert abs(batched.log_det - folded.log_det) < 1e-9 * abs(folded.log_det)
         assert batched.updates_since_refactor == 0
@@ -292,7 +292,7 @@ class TestUpdateMany:
         batched = update_many(model, np.tile(model.mu, (5, 1)))
         assert batched.n == model.n + 5
         np.testing.assert_allclose(batched.mu, model.mu, rtol=1e-15)
-        assert rel_err(batched.covariance(), model.covariance()) < 1e-12
+        assert rel_err(batched.cov, model.cov) < 1e-12
 
     def test_empty_batch_returns_model_unchanged(self):
         rng = np.random.default_rng(32)
@@ -320,7 +320,7 @@ class TestUpdateMany:
         batched = update_many(model, xs)
         assert batched.n == folded.n == model.n + 300 - refused
         np.testing.assert_array_equal(batched.mu, folded.mu)
-        assert rel_err(batched.covariance(), folded.covariance()) < 1e-14
+        assert rel_err(batched.cov, folded.cov) < 1e-14
 
     @pytest.mark.parametrize(
         "xs",
@@ -362,7 +362,7 @@ class TestScore:
     def test_density_integrates_to_one_univariate(self):
         rng = np.random.default_rng(41)
         model = fitted_model(rng, n=300, dim=1)
-        sigma = math.sqrt(model.covariance()[0, 0])
+        sigma = math.sqrt(model.cov[0, 0])
         xs = np.linspace(model.mu[0] - 10 * sigma, model.mu[0] + 10 * sigma, 4001)
         dens = [score(model, np.array([x]), 0.0).density for x in xs]
         total = np.trapezoid(dens, xs)
@@ -374,7 +374,7 @@ class TestScore:
                 [1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]], size=400
             )
         )
-        sds = np.sqrt(np.diag(model.covariance()))
+        sds = np.sqrt(np.diag(model.cov))
         xs = np.linspace(model.mu[0] - 8 * sds[0], model.mu[0] + 8 * sds[0], 161)
         ys = np.linspace(model.mu[1] - 8 * sds[1], model.mu[1] + 8 * sds[1], 161)
         grid = np.zeros((xs.size, ys.size))
@@ -459,7 +459,7 @@ class TestAutoTau:
     def test_flags_exactly_beyond_three_sigma(self):
         rng = np.random.default_rng(61)
         model = fitted_model(rng, n=400, dim=2)
-        cov = model.covariance()
+        cov = model.cov
         direction = rng.standard_normal(2)
         unit = direction / math.sqrt(direction @ np.linalg.inv(cov) @ direction)
         inside = score(model, model.mu + 2.99 * unit)
@@ -551,6 +551,21 @@ class TestCheckpoint:
 
         with pytest.raises(InvalidInputError, match="does not factorize"):
             load_model(self.corrupt_lines(negate_diagonal))
+
+    def test_negated_inverse_rejected(self):
+        # Every dᵀC⁻¹d would be negative, so every later point would be
+        # skipped as degenerate and detection would silently stop.
+        def negate_inverse(lines):
+            for i in range(1, 4):
+                lines[-i] = " ".join(repr(-float(tok)) for tok in lines[-i].split())
+
+        with pytest.raises(InvalidInputError, match="non-positive diagonal"):
+            load_model(self.corrupt_lines(negate_inverse))
+
+    def test_asymmetric_inverse_rejected(self):
+        text = self.corrupt_lines(lambda lines: self.set_entry(lines, -3, 1, "0.123"))
+        with pytest.raises(InvalidInputError, match="inverse is not symmetric"):
+            load_model(text)
 
     def test_missing_version_line_rejected(self):
         # A checkpoint without the version line, such as the older format of

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from driftwatch.errors import InvalidInputError, UninitializedStateError
+from driftwatch.errors import InvalidInputError
 from driftwatch.pewma import (
     INV_SQRT_2PI,
     PewmaParams,
@@ -99,7 +99,7 @@ class TestPewmaStep:
 
     def test_uninitialized_state_rejected(self):
         bad = PewmaState(mean=0.0, var=0.0, t=0, sigma_hat=1.0)
-        with pytest.raises(UninitializedStateError):
+        with pytest.raises(InvalidInputError, match="absorbed no points"):
             pewma_step(bad, 1.0, PewmaParams())
 
     def test_non_finite_observation_rejected(self):
@@ -116,9 +116,10 @@ class TestPewmaStep:
 
     def test_sigma_never_below_floor(self):
         params = PewmaParams(sigma_floor=1e-6)
-        _, scored = run_stream([1.0] * 200, params)
-        for point in scored:
-            assert point.stddev_estimate >= params.sigma_floor
+        state = pewma_init(1.0, params)
+        for _ in range(199):
+            state, _ = pewma_step(state, 1.0, params)
+            assert state.sigma_hat >= params.sigma_floor
 
     def test_warmup_points_never_flagged(self):
         # A wild outlier inside the warmup window must stay unflagged.
