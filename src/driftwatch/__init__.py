@@ -21,14 +21,13 @@ from .linalg import (
 from .pewma import (
     PewmaParams,
     PewmaState,
-    ScoredPoint,
+    Verdict,
     ewma_step,
     pewma_init,
     pewma_step,
 )
 from .detector import (
     GaussianModel,
-    MultiVerdict,
     derive_blend,
     fit_static,
     load_model,

@@ -38,7 +38,7 @@ from .harness import (
     shift_offsets,
     write_reports_csv,
 )
-from .pewma import INV_SQRT_2PI, PewmaParams, pewma_init, pewma_step
+from .pewma import FIRST_VERDICT, PewmaParams, pewma_init, pewma_step
 
 EXIT_OK = 0
 EXIT_SKIPPED_LINES = 1
@@ -47,7 +47,7 @@ EXIT_FATAL = 2
 
 @dataclass
 class DetectorConfig:
-    """Flag bundle for ``detect``, defaulting to the library's defaults;
+    """``detect``'s options, one field each, with the library's defaults;
     ``tau = None`` means ``score``'s own rule in multivariate mode (flag
     beyond Mahalanobis distance 3), and ``PewmaParams``' default tau in
     univariate mode."""
@@ -70,16 +70,17 @@ def _row_format(count: int) -> str:
 def _make_emitter(out, fmt: str):
     if fmt == "jsonl":
 
-        def emit(index, values, density, log_score, flag):
-            record = {"index": index, "values": values, "score": float(density),
-                      "log_score": float(log_score), "is_anomaly": bool(flag)}
+        def emit(index, values, verdict):
+            record = {"index": index, "values": values, "score": verdict.density,
+                      "log_score": verdict.log_density, "is_anomaly": verdict.is_anomaly}
             out.write(json.dumps(record) + "\n")
 
     else:
 
-        def emit(index, values, density, log_score, flag):
+        def emit(index, values, verdict):
             line = "%d," + _row_format(len(values) + 2) + ",%s\n"
-            out.write(line % (index, *values, density, log_score, "true" if flag else "false"))
+            flag = "true" if verdict.is_anomaly else "false"
+            out.write(line % (index, *values, verdict.density, verdict.log_density, flag))
 
     return emit
 
@@ -98,21 +99,26 @@ def _parse_vector(text: str) -> np.ndarray:
     return values
 
 
-def _data_lines(lines, skip_header: bool):
-    """Yield (line_no, stripped_text), skipping the header and blank lines."""
+def _data_lines(lines, skip_header: bool, parse, err, rejected: list):
+    """Yield (line_no, parse(text)) past the header and blank lines; report each
+    line ``parse`` rejects on ``err`` and append its number to ``rejected``."""
     for line_no, raw in enumerate(lines, start=1):
-        if skip_header and line_no == 1:
-            continue
         text = raw.strip()
-        if text:
-            yield line_no, text
+        if not text or (skip_header and line_no == 1):
+            continue
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            err.write(f"line {line_no}: skipped: {exc}\n")
+            rejected.append(line_no)
+            continue
+        yield line_no, value
 
 
 def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=False, fmt="csv"):
     """Core of the ``detect`` command; returns the process exit code."""
     emit = _make_emitter(out, fmt)
-    skipped = 0
-    index = 0
+    rejected: list[int] = []
 
     if config.mode == "univariate":
         params = PewmaParams(
@@ -123,22 +129,14 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
             sigma_floor=config.sigma_floor,
         )
         state = None
-        for line_no, text in _data_lines(lines, header):
-            try:
-                value = _parse_scalar(text)
-            except ValueError as exc:
-                err.write(f"line {line_no}: skipped: {exc}\n")
-                skipped += 1
-                continue
+        values = _data_lines(lines, header, _parse_scalar, err, rejected)
+        for index, (_, value) in enumerate(values):
             if state is None:
-                state = pewma_init(value, params)
-                emit(index, [value], INV_SQRT_2PI, math.log(INV_SQRT_2PI), False)
+                state, verdict = pewma_init(value, params), FIRST_VERDICT
             else:
-                state, point = pewma_step(state, value, params)
-                log_score = math.log(INV_SQRT_2PI) - 0.5 * point.z * point.z
-                emit(index, [value], point.density, log_score, point.is_anomaly)
-            index += 1
-        return EXIT_SKIPPED_LINES if skipped else EXIT_OK
+                state, verdict = pewma_step(state, value, params)
+            emit(index, [value], verdict)
+        return EXIT_SKIPPED_LINES if rejected else EXIT_OK
 
     check_tau(config.tau)
     if config.static_count_points < 2:
@@ -150,13 +148,8 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
         model = load_model(checkpoint)
         dim = model.m
 
-    for line_no, text in _data_lines(lines, header):
-        try:
-            x = _parse_vector(text)
-        except ValueError as exc:
-            err.write(f"line {line_no}: skipped: {exc}\n")
-            skipped += 1
-            continue
+    points = _data_lines(lines, header, _parse_vector, err, rejected)
+    for index, (line_no, x) in enumerate(points):
         if dim is None:
             dim = len(x)
         elif len(x) != dim:
@@ -173,14 +166,12 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
                     return EXIT_FATAL
                 buffer.clear()
         else:
-            verdict = score(model, x, config.tau)
-            emit(index, x.tolist(), verdict.density, verdict.log_density, verdict.is_anomaly)
+            emit(index, x.tolist(), score(model, x, config.tau))
             model = update_online(model, x)
-        index += 1
 
     if checkpoint is not None and model is not None:
         save_model(model, checkpoint)
-    return EXIT_SKIPPED_LINES if skipped else EXIT_OK
+    return EXIT_SKIPPED_LINES if rejected else EXIT_OK
 
 
 @click.group()
@@ -190,39 +181,31 @@ def main():
 
 @main.command()
 @click.argument("input_file", type=click.File("r"), default="-", required=False)
-@click.option("--mode", type=click.Choice(["univariate", "multivariate"]), default="univariate")
+@click.option("--mode", type=click.Choice(["univariate", "multivariate"]),
+              default=DetectorConfig.mode)
 @click.option("--alpha", type=float, default=DetectorConfig.alpha, show_default=True)
 @click.option("--beta", type=float, default=DetectorConfig.beta, show_default=True)
-@click.option("--tau", type=float, default=None,
+@click.option("--tau", type=float, default=DetectorConfig.tau,
               help=f"Density threshold; omit for {PewmaParams.tau:g} (univariate) "
               "or Mahalanobis distance 3 (multivariate).")
-@click.option("--warmup", "warmup_t", type=int, default=DetectorConfig.warmup_T, show_default=True)
-@click.option("--static-points", type=int, default=DetectorConfig.static_count_points,
-              show_default=True, help="Points buffered for the multivariate static fit.")
+@click.option("--warmup", "warmup_T", type=int, default=DetectorConfig.warmup_T, show_default=True)
+@click.option("--static-points", "static_count_points", type=int,
+              default=DetectorConfig.static_count_points, show_default=True,
+              help="Points buffered for the multivariate static fit.")
 @click.option("--sigma-floor", type=float, default=DetectorConfig.sigma_floor, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
 @click.option("--header", is_flag=True, help="Skip one leading input line.")
 @click.option("--checkpoint", type=click.Path(), default=None,
               help="Model checkpoint to resume from and save to (multivariate only).")
 @click.pass_context
-def detect(ctx, input_file, mode, alpha, beta, tau, warmup_t, static_points, sigma_floor,
-           fmt, header, checkpoint):
+def detect(ctx, input_file, fmt, header, checkpoint, **settings):
     """Score a stream of points, one verdict line per scored point."""
-    if checkpoint is not None and mode != "multivariate":
+    if checkpoint is not None and settings["mode"] != "multivariate":
         raise click.UsageError("--checkpoint requires --mode multivariate")
-    config = DetectorConfig(
-        mode=mode,
-        alpha=alpha,
-        beta=beta,
-        tau=tau,
-        warmup_T=warmup_t,
-        static_count_points=static_points,
-        sigma_floor=sigma_floor,
-    )
     try:
         code = run_detect(
             input_file,
-            config,
+            DetectorConfig(**settings),
             sys.stdout,
             sys.stderr,
             checkpoint=checkpoint,
@@ -285,7 +268,10 @@ def experiment(which, count, dim, seeds):
     runner = run_experiment_1 if which == "1" else run_experiment_2
     rows = []
     for seed in seed_list:
-        data = gen_random_stream(count, dim, seed)
+        try:
+            data = gen_random_stream(count, dim, seed)
+        except InvalidInputError as exc:
+            raise click.UsageError(str(exc)) from exc
         rows.extend((int(which), seed, report) for report in runner(data))
     write_reports_csv(sys.stdout, rows)
 

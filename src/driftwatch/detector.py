@@ -8,7 +8,8 @@ mean by the exact incremental recurrence. The inverse and log-determinant
 are rebuilt exactly from a Cholesky factorization when drift shows or
 every ``REFACTOR_EVERY`` updates (a constant, like the starting jitter).
 ``score`` flags a point farther than Mahalanobis distance 3 or, given a
-density threshold tau, one whose log-density falls below log tau.
+density threshold tau, one whose log-density falls below log tau; it
+returns the ``Verdict`` that ``pewma`` defines for both detectors.
 ``update_many`` absorbs a whole batch in closed form, for callers that
 never score between updates. Models are values;
 both update functions return a new model and never mutate their argument.
@@ -28,6 +29,7 @@ import numpy as np
 from . import linalg
 from .errors import InvalidInputError, NotPositiveDefiniteError
 from .linalg import CovBlend
+from .pewma import Verdict
 
 LOG_2PI = math.log(2.0 * math.pi)
 DRIFT_LIMIT = 1e-4
@@ -58,16 +60,6 @@ class GaussianModel:
     blend: CovBlend
     updates_since_refactor: int = 0
     jitter_used: float = 0.0
-
-
-@dataclass(frozen=True)
-class MultiVerdict:
-    """Scoring result for one vector: density, Mahalanobis form, and flag."""
-
-    log_density: float
-    density: float
-    mahalanobis_sq: float
-    is_anomaly: bool
 
 
 def derive_blend(n_static: int) -> CovBlend:
@@ -253,7 +245,7 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge x scores d² = inf
-def score(model: GaussianModel, x, tau: float | None = None) -> MultiVerdict:
+def score(model: GaussianModel, x, tau: float | None = None) -> Verdict:
     """Gaussian-density verdict for one vector against the current model.
 
     log density = -(m/2) log 2π - log|C|/2 - d²/2 with the Mahalanobis
@@ -285,12 +277,7 @@ def score(model: GaussianModel, x, tau: float | None = None) -> MultiVerdict:
         is_anomaly = maha > MAHALANOBIS_SQ_LIMIT
     else:
         is_anomaly = tau > 0.0 and log_density < math.log(tau)
-    return MultiVerdict(
-        log_density=log_density,
-        density=density,
-        mahalanobis_sq=maha,
-        is_anomaly=is_anomaly,
-    )
+    return Verdict(log_density, density, maha, is_anomaly)
 
 
 # --- checkpoint serialization ------------------------------------------------

@@ -88,38 +88,28 @@ def aad(predicted, truth) -> float:
     return float(np.mean(np.abs((p[mask] - y[mask]) / y[mask])))
 
 
-def split_segments(data: np.ndarray, n_segments: int) -> list[np.ndarray]:
-    """Split rows into n_segments chunks; the remainder goes to the last."""
-    n = data.shape[0]
-    base = n // n_segments
-    if base < 1:
-        raise InvalidInputError(f"{n} points cannot fill {n_segments} segments")
-    bounds = [base * i for i in range(n_segments)] + [n]
-    return [data[bounds[i] : bounds[i + 1]] for i in range(n_segments)]
-
-
 def _run_protocol(data, to_end: bool) -> list[AadReport]:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
-    segments = split_segments(data, N_SEGMENTS)
+    n = data.shape[0]
+    base = n // N_SEGMENTS  # rows per segment; the last segment takes the remainder
+    if base < 1:
+        raise InvalidInputError(f"{n} points cannot fill {N_SEGMENTS} segments")
     reports = []
     for static_count in range(1, N_SEGMENTS):
         start = time.perf_counter()
-        static = np.concatenate(segments[:static_count])
-        model = fit_static(static)
-        end = N_SEGMENTS if to_end else static_count + 1
-        online = np.concatenate(segments[static_count:end])
-        consumed = np.concatenate(segments[:end])
-        model = update_many(model, online)
-        truth = np.atleast_2d(np.cov(consumed, rowvar=False, ddof=1))
+        split = base * static_count
+        end = n if to_end or static_count == N_SEGMENTS - 1 else split + base
+        model = update_many(fit_static(data[:split]), data[split:end])
+        truth = np.atleast_2d(np.cov(data[:end], rowvar=False, ddof=1))
         cov_err = aad(model.cov, truth)
         inv_err = aad(model.cinv, np.linalg.inv(truth))
         reports.append(
             AadReport(
                 static_count=static_count,
                 aad=cov_err,
-                points_evaluated=online.shape[0],
+                points_evaluated=end - split,
                 elapsed=time.perf_counter() - start,
                 aad_inverse=inv_err,
             )
@@ -150,6 +140,8 @@ def gen_random_stream(count: int, dim: int, seed: int) -> np.ndarray:
     """Deterministic i.i.d. standard-normal vectors, shape (count, dim)."""
     if count < 1 or dim < 1:
         raise InvalidInputError(f"count and dim must be >= 1, got {count}, {dim}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed).standard_normal((count, dim))
 
 

@@ -139,11 +139,13 @@ def sherman_morrison_update(cinv, v, blend: CovBlend) -> np.ndarray:
 
         (1/alpha) * (C⁻¹ - (beta/alpha) * C⁻¹ v vᵀ C⁻¹ / (1 + (beta/alpha) vᵀ C⁻¹ v))
 
-    and symmetrizes the result to suppress floating-point asymmetry drift.
-    Validates its inputs, and raises InvalidInputError when the denominator
-    falls to 1e-12 or below, before the unchecked core ``_sherman_morrison``.
+    A rank-one update by w wᵀ maps an exactly symmetric ``cinv`` to an
+    exactly symmetric result, so this wrapper symmetrizes its input once and
+    the core ``_sherman_morrison`` never has to. Validates its inputs, and
+    raises InvalidInputError when the denominator falls to 1e-12 or below.
     """
     cinv = _as_square_matrix(cinv, "inverse covariance")
+    cinv = 0.5 * (cinv + cinv.T)
     v = _as_vector(v, cinv.shape[0], "direction")
     w = cinv.dot(v)
     q = float(v.dot(w))
@@ -156,8 +158,7 @@ def sherman_morrison_update(cinv, v, blend: CovBlend) -> np.ndarray:
 def _sherman_morrison(cinv: np.ndarray, w: np.ndarray, q: float, blend: CovBlend) -> np.ndarray:
     """The identity above from w = C⁻¹ v and q = vᵀ w; trusts the caller."""
     gamma = blend.beta / blend.alpha
-    out = (cinv - np.multiply.outer(w, w) * (gamma / (1.0 + gamma * q))) / blend.alpha
-    return 0.5 * (out + out.T)
+    return (cinv - np.multiply.outer(w, w) * (gamma / (1.0 + gamma * q))) / blend.alpha
 
 
 def log_det_from_factor(a) -> float:

@@ -8,7 +8,8 @@ forgetting factor applied to them is scaled down by the point's own
 probability density: surprising points barely move the estimates, so a
 level shift does not poison the mean before the detector has had a chance
 to flag it. A plain EWMA baseline (``ewma_step``) is the special case
-beta = 0.
+beta = 0. ``Verdict``, defined in this stdlib-only module, is the scoring
+result of both detectors: ``pewma_step`` and ``detector.score`` return it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from .errors import InvalidInputError
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LOG_INV_SQRT_2PI = math.log(INV_SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -66,13 +68,19 @@ class PewmaState:
     sigma_hat: float
 
 
-@dataclass(frozen=True)
-class ScoredPoint:
-    """Verdict for one point: standardized residual, density, and flag."""
+@dataclass(frozen=True, slots=True)
+class Verdict:
+    """Scoring result for one point: log-density, density, the squared
+    Mahalanobis distance d² (z² in one dimension), and the flag."""
 
-    z: float
+    log_density: float
     density: float
+    mahalanobis_sq: float
     is_anomaly: bool
+
+
+# The first point of a stream is the mean it defines: z = 0, never flagged.
+FIRST_VERDICT = Verdict(LOG_INV_SQRT_2PI, INV_SQRT_2PI, 0.0, False)
 
 
 def pewma_init(x1: float, params: PewmaParams) -> PewmaState:
@@ -82,7 +90,7 @@ def pewma_init(x1: float, params: PewmaParams) -> PewmaState:
     return PewmaState(mean=x1, var=0.0, t=1, sigma_hat=params.sigma_floor)
 
 
-def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaState, ScoredPoint]:
+def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaState, Verdict]:
     """Score one point against the current state and absorb it.
 
     The incoming point is the (t+1)-th of the stream. While its index is
@@ -90,7 +98,7 @@ def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaS
     mean); afterwards a = alpha * (1 - beta * density), which discounts
     improbable points. With r = x - mean, the mean moves by (1 - a) r and
     the variance becomes a var + a (1 - a) r². The verdict is density < tau,
-    gated off during warmup.
+    gated off during warmup; its log-density is log(1/√(2π)) - z²/2.
     """
     if state.t < 1:
         raise InvalidInputError("state has absorbed no points; call pewma_init first")
@@ -112,12 +120,13 @@ def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaS
     sigma = math.sqrt(max(var, params.sigma_floor * params.sigma_floor))
 
     new_state = PewmaState(mean=mean, var=var, t=t_in, sigma_hat=sigma)
-    scored = ScoredPoint(
-        z=z,
+    verdict = Verdict(
+        log_density=LOG_INV_SQRT_2PI - 0.5 * z * z,
         density=density,
+        mahalanobis_sq=z * z,
         is_anomaly=density < params.tau and t_in > params.warmup_T,
     )
-    return new_state, scored
+    return new_state, verdict
 
 
 def ewma_step(mean: float, x: float, alpha: float) -> float:

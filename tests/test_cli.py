@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -70,6 +71,12 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--kind", "abrupt-transient", "--count", "5"])
         assert result.exit_code == 2
 
+    def test_negative_seed_is_usage_error(self, runner):
+        result = runner.invoke(main, ["simulate", "--kind", "abrupt-transient", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "seed must be >= 0" in result.stderr
+
 
 class TestDetectDefaults:
     def test_config_takes_the_library_defaults(self):
@@ -81,11 +88,9 @@ class TestDetectDefaults:
         assert config.tau is None
 
     def test_flags_default_to_the_config(self):
-        config = DetectorConfig()
-        fields = {"warmup_t": "warmup_T", "static_points": "static_count_points"}
-        flags = {p.name: p.default for p in detect.params if p.name not in ("input_file", "mode")}
-        for name in ("alpha", "beta", "tau", "warmup_t", "static_points", "sigma_floor"):
-            assert flags[name] == getattr(config, fields.get(name, name)), name
+        flags = {p.name: p.default for p in detect.params}
+        for field in dataclasses.fields(DetectorConfig):
+            assert flags[field.name] == field.default, field.name
 
 
 class TestDetectUnivariate:
@@ -335,6 +340,34 @@ class TestDetectMultivariate:
         assert {"score", "log_score", "is_anomaly"} <= rows[0].keys()
 
 
+class TestLineReader:
+    """Both modes read their input through one reader: the header and blank
+    lines are passed over, a malformed line is reported by number and
+    skipped, and verdict indices stay contiguous across the gaps."""
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_both_modes_skip_the_same_lines(self, runner, header):
+        values = gen_random_stream(30, 1, seed=8)[:, 0]
+        lines = [f"{v:.17g}" for v in values]
+        malformed = ("abc", "nan", "-inf", "1e999")
+        for at, bad in zip((3, 6, 10, 14, 20, 25), ("", "abc", "   ", "nan", "-inf", "1e999")):
+            lines.insert(at, bad)
+        text = "\n".join((["value"] if header else []) + lines) + "\n"
+        expected = [f"line {i + 1 + header}" for i, line in enumerate(lines) if line in malformed]
+
+        flags = ["--static-points", "5"] + (["--header"] if header else [])
+        outputs = {}
+        for mode, first_index in (("univariate", 0), ("multivariate", 5)):
+            result = runner.invoke(main, ["detect", "--mode", mode, *flags], input=text)
+            assert result.exit_code == 1
+            skipped = [line.partition(": skipped: ")[0] for line in result.stderr.splitlines()]
+            assert skipped == expected, mode
+            indices = [int(row.split(",")[0]) for row in result.stdout.splitlines()]
+            assert indices == list(range(first_index, 30)), mode
+            outputs[mode] = [row.split(",")[1] for row in result.stdout.splitlines()]
+        assert outputs["multivariate"] == outputs["univariate"][5:]
+
+
 class TestOutputContract:
     """Every verdict line equals a fold of the library calls, formatted value
     by value: 17 significant digits in CSV, ``json.dumps`` in JSONL."""
@@ -387,8 +420,9 @@ class TestOutputContract:
         log_peak = math.log(INV_SQRT_2PI)
         expected = [self.line(fmt, 0, [values[0]], INV_SQRT_2PI, log_peak, False)]
         for index, value in enumerate(values[1:], start=1):
+            z = (value - state.mean) / state.sigma_hat
             state, point = pewma_step(state, value, params)
-            log_score = log_peak - 0.5 * point.z * point.z
+            log_score = log_peak - 0.5 * z * z
             expected.append(self.line(fmt, index, [value], point.density, log_score,
                                       point.is_anomaly))
         assert any(row.endswith(("true\n", "true}\n")) for row in expected)
@@ -452,6 +486,16 @@ class TestExperimentCommand:
     def test_count_too_small_is_usage_error(self, runner):
         result = runner.invoke(main, ["experiment", "--which", "1", "--count", "10", "--dim", "2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [(["--seeds", "-1"], "seed must be >= 0"), (["--dim", "0"], "count and dim must be >= 1")],
+    )
+    def test_bad_generator_argument_is_usage_error(self, runner, args, message):
+        result = runner.invoke(main, ["experiment", "--which", "1", *args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert message in result.stderr
 
     def test_bad_seed_list_is_usage_error(self, runner):
         result = runner.invoke(

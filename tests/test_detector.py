@@ -605,3 +605,63 @@ class TestCheckpoint:
 
         with pytest.raises(InvalidInputError, match="malformed checkpoint state"):
             load_model(self.corrupt_lines(drop_last))
+
+
+def awkward_stream(kind, n, m, seed):
+    """n points of dimension m that are finite but hard on the model."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, m))
+    scales = np.logspace(-6, 6, m)
+    if kind == "rotated-scales":
+        return (z * scales) @ np.linalg.qr(rng.standard_normal((m, m)))[0]
+    if kind == "collinear":
+        return z[:, :1] + 1e-8 * z
+    if kind == "heavy-tail":
+        z[rng.random(n) < 0.05] *= 1e6
+    elif kind == "offset":
+        return 1e12 + z * scales
+    elif kind == "spikes":  # after the static fit only; 1e200 is refused
+        z[2 * m + 7 :: 41] *= 1e12
+        z[2 * m + 20 :: 97] *= 1e200
+    return z
+
+
+class TestExactSymmetry:
+    """cov and cinv stay exactly symmetric on every path that builds a
+    model; ``_sherman_morrison`` relies on it, and ``load_model`` refuses
+    a checkpoint whose matrices are not."""
+
+    KINDS = ("iid", "rotated-scales", "collinear", "heavy-tail", "offset", "spikes")
+
+    @staticmethod
+    def assert_symmetric(model):
+        assert np.array_equal(model.cov, model.cov.T)
+        assert np.array_equal(model.cinv, model.cinv.T)
+
+    @pytest.mark.parametrize("m", [3, 15, 50])
+    def test_every_update_path_keeps_exact_symmetry(self, m):
+        paths = set()
+        for kind in self.KINDS:
+            data = awkward_stream(kind, 2 * m + 300, m, seed=m)
+            static, online = data[: 2 * m], data[2 * m :]
+            model = fit_static(static)
+            self.assert_symmetric(model)
+            self.assert_symmetric(load_model(io.StringIO(model_to_text(model))))
+            for i, x in enumerate(online):
+                new = update_online(model, model.mu.copy() if i == 5 else x)
+                if new is model:
+                    paths.add("refused")
+                elif new.cov is model.cov:
+                    paths.add("degenerate")
+                elif new.updates_since_refactor:
+                    paths.add("rank-one")
+                elif model.updates_since_refactor == REFACTOR_EVERY - 1:
+                    paths.add("periodic rebuild")
+                else:
+                    paths.add("drift rebuild")
+                self.assert_symmetric(new)
+                model = new
+            batch = update_many(fit_static(static), online)
+            self.assert_symmetric(batch)
+            self.assert_symmetric(load_model(io.StringIO(model_to_text(batch))))
+        assert paths == {"refused", "degenerate", "rank-one", "periodic rebuild", "drift rebuild"}

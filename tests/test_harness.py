@@ -15,7 +15,6 @@ from driftwatch.harness import (
     run_experiment_1,
     run_experiment_2,
     shift_offsets,
-    split_segments,
     write_reports_csv,
 )
 
@@ -82,18 +81,6 @@ class TestAad:
             aad(np.ones((2, 2)), np.ones((2, 3)))
 
 
-class TestSegments:
-    def test_remainder_goes_to_last_segment(self):
-        data = np.arange(23, dtype=float).reshape(-1, 1)
-        segments = split_segments(data, 5)
-        assert [len(s) for s in segments] == [4, 4, 4, 4, 7]
-        np.testing.assert_array_equal(np.concatenate(segments), data)
-
-    def test_too_few_points(self):
-        with pytest.raises(InvalidInputError, match="cannot fill"):
-            split_segments(np.zeros((3, 1)), 5)
-
-
 class TestExperiments:
     def test_matches_oracle_experiment_1(self):
         data = gen_random_stream(50, 2, seed=101)
@@ -123,15 +110,16 @@ class TestExperiments:
         # The protocol absorbs each online segment with update_many; folding
         # update_online over the same rows must give the same reports.
         data = gen_random_stream(600, 15, seed=104)
-        segments = split_segments(data, 5)
+        bounds = [120 * i for i in range(5)] + [600]
         for runner, mode in ((run_experiment_1, 1), (run_experiment_2, 2)):
             for report in runner(data):
                 sc = report.static_count
-                model = fit_static(np.concatenate(segments[:sc]))
-                online = segments[sc] if mode == 1 else np.concatenate(segments[sc:])
+                model = fit_static(data[: bounds[sc]])
+                end = bounds[sc + 1] if mode == 1 else 600
+                online = data[bounds[sc] : end]
                 for x in online:
                     model = update_online(model, x)
-                consumed = np.concatenate(segments[: sc + 1]) if mode == 1 else data
+                consumed = data[:end]
                 truth = np.cov(consumed, rowvar=False, ddof=1)
                 assert report.points_evaluated == online.shape[0]
                 assert report.aad == pytest.approx(aad(model.cov, truth), rel=1e-9)
@@ -196,6 +184,10 @@ class TestGenerators:
             gen_random_stream(0, 1, seed=0)
         with pytest.raises(InvalidInputError):
             gen_random_stream(5, 0, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+            gen_random_stream(5, 1, seed=-1)
 
     def test_zero_magnitude_transient_matches_base(self):
         spec = ShiftSpec(kind="abrupt-transient", at=0.4, magnitude=0.0)

@@ -68,7 +68,7 @@ class TestPewmaStep:
         post = scored[params.warmup_T :]
         assert post, "stream must extend past warmup"
         for point in post:
-            assert point.z == 0.0
+            assert point.mahalanobis_sq == 0.0
             assert point.density == pytest.approx(INV_SQRT_2PI, rel=1e-12)
             assert not point.is_anomaly
 
