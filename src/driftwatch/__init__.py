@@ -8,7 +8,7 @@ holds the metric, the experiment protocols, and the synthetic generators;
 ``cli`` exposes everything as the ``driftwatch`` command.
 """
 
-from .errors import InvalidInputError, NotPositiveDefiniteError
+from .errors import InvalidInputError
 from .linalg import (
     CovBlend,
     cholesky_factorize,

@@ -20,7 +20,6 @@ import click
 import numpy as np
 
 from .detector import (
-    check_tau,
     fit_static,
     load_model,
     save_model,
@@ -29,7 +28,6 @@ from .detector import (
 )
 from .errors import InvalidInputError
 from .harness import (
-    N_SEGMENTS,
     SHIFT_KINDS,
     ShiftSpec,
     gen_random_stream,
@@ -38,7 +36,7 @@ from .harness import (
     shift_offsets,
     write_reports_csv,
 )
-from .pewma import FIRST_VERDICT, PewmaParams, pewma_init, pewma_step
+from .pewma import FIRST_VERDICT, PewmaParams, check_tau, pewma_init, pewma_step
 
 EXIT_OK = 0
 EXIT_SKIPPED_LINES = 1
@@ -180,7 +178,7 @@ def main():
 
 
 @main.command()
-@click.argument("input_file", type=click.File("r"), default="-", required=False)
+@click.argument("input_file", type=click.File("r", errors="replace"), default="-", required=False)
 @click.option("--mode", type=click.Choice(["univariate", "multivariate"]),
               default=DetectorConfig.mode)
 @click.option("--alpha", type=float, default=DetectorConfig.alpha, show_default=True)
@@ -195,13 +193,17 @@ def main():
 @click.option("--sigma-floor", type=float, default=DetectorConfig.sigma_floor, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
 @click.option("--header", is_flag=True, help="Skip one leading input line.")
-@click.option("--checkpoint", type=click.Path(), default=None,
+@click.option("--checkpoint", type=click.Path(dir_okay=False), default=None, metavar="PATH",
               help="Model checkpoint to resume from and save to (multivariate only).")
 @click.pass_context
 def detect(ctx, input_file, fmt, header, checkpoint, **settings):
     """Score a stream of points, one verdict line per scored point."""
-    if checkpoint is not None and settings["mode"] != "multivariate":
-        raise click.UsageError("--checkpoint requires --mode multivariate")
+    if checkpoint is not None:
+        if settings["mode"] != "multivariate":
+            raise click.UsageError("--checkpoint requires --mode multivariate")
+        folder, name = os.path.split(checkpoint)
+        if not name or not os.path.isdir(folder or "."):
+            raise click.UsageError(f"--checkpoint {checkpoint!r}: cannot save a file there")
     try:
         code = run_detect(
             input_file,
@@ -253,11 +255,6 @@ def simulate(kind, at, magnitude, ramp, count, seed, dim, fmt):
               help="Comma-separated list of generator seeds.")
 def experiment(which, count, dim, seeds):
     """Run a static-vs-online covariance experiment, CSV report to stdout."""
-    if count < N_SEGMENTS * (dim + 1):
-        raise click.UsageError(
-            f"count must be at least {N_SEGMENTS} * (dim + 1) = {N_SEGMENTS * (dim + 1)} "
-            f"so each segment can support a fit, got {count}"
-        )
     try:
         seed_list = [int(token) for token in seeds.split(",") if token.strip() != ""]
     except ValueError as exc:
@@ -269,10 +266,10 @@ def experiment(which, count, dim, seeds):
     rows = []
     for seed in seed_list:
         try:
-            data = gen_random_stream(count, dim, seed)
+            reports = runner(gen_random_stream(count, dim, seed))
         except InvalidInputError as exc:
             raise click.UsageError(str(exc)) from exc
-        rows.extend((int(which), seed, report) for report in runner(data))
+        rows.extend((int(which), seed, report) for report in reports)
     write_reports_csv(sys.stdout, rows)
 
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInputError, NotPositiveDefiniteError
+from .errors import InvalidInputError
 from .linalg import CovBlend
-from .pewma import Verdict
+from .pewma import Verdict, check_tau
 
 LOG_2PI = math.log(2.0 * math.pi)
 DRIFT_LIMIT = 1e-4
@@ -77,15 +77,16 @@ def derive_blend(n_static: int) -> CovBlend:
 def _factorized(cov):
     """``(cov, cinv, log_det, lam)`` from one Cholesky factorization of ``cov``.
 
-    The returned covariance is the symmetric matrix that was factorized,
-    ``lam * I`` included, so the inverse and log-determinant are exact for
-    it and a checkpoint of it reloads.
+    ``cov`` is exactly symmetric, as every caller's is; the returned covariance
+    is the matrix that was factorized, ``lam * I`` included, so the inverse and
+    log-determinant are exact for it and a checkpoint of it reloads.
     """
     factor, lam = linalg.cholesky_factorize(cov)
-    cov = 0.5 * (cov + cov.T) + lam * np.eye(cov.shape[0])
+    cov = cov + lam * np.eye(cov.shape[0])
     return cov, linalg.inverse_from_factor(factor), linalg.log_det_from_factor(factor), lam
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge rows overflow the moments; they are refused
 def fit_static(data) -> GaussianModel:
     """Fit the model on the initial batch: mean, unbiased covariance, inverse.
 
@@ -118,12 +119,6 @@ def fit_static(data) -> GaussianModel:
         blend=derive_blend(n),
         jitter_used=lam,
     )
-
-
-def check_tau(tau: float | None) -> None:
-    """Raise InvalidInputError unless ``tau`` is None or finite and >= 0."""
-    if tau is not None and not (math.isfinite(tau) and tau >= 0.0):
-        raise InvalidInputError(f"tau must be finite and >= 0, got {tau}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge x overflows q; it is refused
@@ -177,7 +172,7 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
                              model.jitter_used)
     try:
         cov, cinv, log_det, lam = _factorized(cov)
-    except NotPositiveDefiniteError:
+    except InvalidInputError:  # only an exhausted jitter ladder raises here
         return model
     return GaussianModel(model.m, n, mu, cov, cinv, log_det, blend, 0, model.jitter_used + lam)
 
@@ -325,7 +320,7 @@ def load_model(src) -> GaussianModel:
     ``LOG_DET_TOL`` of that factor's.
     """
     if isinstance(src, (str, os.PathLike)):
-        with open(src, "r", encoding="ascii") as handle:
+        with open(src, "r", encoding="ascii", errors="replace") as handle:
             return load_model(handle)
     lines = [line.strip() for line in src if line.strip()]
     if lines[:1] != [CHECKPOINT_VERSION]:

@@ -1,14 +1,11 @@
-"""Exception types raised across the library, both ValueErrors.
+"""The one exception type the library raises, a ValueError.
 
-A separate type exists only where a caller recovers differently. Any bad
-input is an InvalidInputError; the detector catches NotPositiveDefiniteError
-and refuses the point whose update cannot be factorized.
+Every caller recovers from bad input the same way, so one type serves:
+the CLI reports it as a usage error or a fatal stream error, and the
+detector refuses a point whose update cannot be factorized.
 """
 
 
 class InvalidInputError(ValueError):
-    """Input violates a shape, range, finiteness, or sample-size requirement."""
-
-
-class NotPositiveDefiniteError(ValueError):
-    """Matrix could not be factorized even after jitter escalation."""
+    """Input violates a shape, range, finiteness, or sample-size requirement,
+    or a matrix could not be factorized even after jitter escalation."""

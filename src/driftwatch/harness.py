@@ -89,13 +89,15 @@ def aad(predicted, truth) -> float:
 
 
 def _run_protocol(data, to_end: bool) -> list[AadReport]:
+    """Both protocols' loop; raises InvalidInputError unless each of the
+    ``N_SEGMENTS`` segments (the last takes the remainder) holds m + 1 rows."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
-    n = data.shape[0]
-    base = n // N_SEGMENTS  # rows per segment; the last segment takes the remainder
-    if base < 1:
-        raise InvalidInputError(f"{n} points cannot fill {N_SEGMENTS} segments")
+    n, m = data.shape
+    base = n // N_SEGMENTS
+    if base <= m:
+        raise InvalidInputError(f"{n} points cannot fill {N_SEGMENTS} segments of {m + 1} rows")
     reports = []
     for static_count in range(1, N_SEGMENTS):
         start = time.perf_counter()

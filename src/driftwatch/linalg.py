@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NotPositiveDefiniteError
+from .errors import InvalidInputError
 
 DEFAULT_JITTER = 1e-10
 MAX_JITTER_DOUBLINGS = 40
@@ -65,8 +65,8 @@ def cholesky_factorize(c) -> tuple[np.ndarray, float]:
     succeed.
 
     Raises InvalidInputError for non-square, non-finite, or asymmetric
-    input, and NotPositiveDefiniteError once the escalation ladder is
-    exhausted after ``MAX_JITTER_DOUBLINGS`` doublings.
+    input, and once the escalation ladder is exhausted after
+    ``MAX_JITTER_DOUBLINGS`` doublings.
     """
     c = _as_square_matrix(c, "covariance")
     if not np.isfinite(c).all():
@@ -83,7 +83,7 @@ def cholesky_factorize(c) -> tuple[np.ndarray, float]:
             return np.linalg.cholesky(c + lam * eye), lam
         except np.linalg.LinAlgError:
             continue
-    raise NotPositiveDefiniteError(
+    raise InvalidInputError(
         f"factorization failed after {MAX_JITTER_DOUBLINGS} jitter doublings (last lam={ladder[-1]:g})"
     )
 
@@ -161,13 +161,16 @@ def _sherman_morrison(cinv: np.ndarray, w: np.ndarray, q: float, blend: CovBlend
     return (cinv - np.multiply.outer(w, w) * (gamma / (1.0 + gamma * q))) / blend.alpha
 
 
+def _checked_factor(a) -> np.ndarray:
+    a = _as_square_matrix(a, "factor")
+    if not (np.isfinite(np.diag(a)).all() and (np.diag(a) > 0.0).all()):
+        raise InvalidInputError("factor diagonal must be finite and strictly positive")
+    return a
+
+
 def log_det_from_factor(a) -> float:
     """``log |A Aᵀ| = 2 Σ log aᵢᵢ`` for a lower-triangular factor ``A``."""
-    a = _as_square_matrix(a, "factor")
-    diag = np.diag(a)
-    if diag.size and (not np.isfinite(diag).all() or (diag <= 0.0).any()):
-        raise InvalidInputError("factor diagonal must be finite and strictly positive")
-    return 2.0 * float(np.sum(np.log(diag)))
+    return 2.0 * float(np.sum(np.log(np.diag(_checked_factor(a)))))
 
 
 def inverse_from_factor(a) -> np.ndarray:
@@ -177,10 +180,6 @@ def inverse_from_factor(a) -> np.ndarray:
     is the exact rebuild used to clear accumulated drift in a maintained
     inverse.
     """
-    a = _as_square_matrix(a, "factor")
-    diag = np.diag(a)
-    if diag.size and (not np.isfinite(diag).all() or (diag <= 0.0).any()):
-        raise InvalidInputError("factor diagonal must be finite and strictly positive")
-    w = np.linalg.inv(np.tril(a))
+    w = np.linalg.inv(np.tril(_checked_factor(a)))
     out = w.T @ w
     return 0.5 * (out + out.T)

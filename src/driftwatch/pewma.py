@@ -8,8 +8,8 @@ forgetting factor applied to them is scaled down by the point's own
 probability density: surprising points barely move the estimates, so a
 level shift does not poison the mean before the detector has had a chance
 to flag it. A plain EWMA baseline (``ewma_step``) is the special case
-beta = 0. ``Verdict``, defined in this stdlib-only module, is the scoring
-result of both detectors: ``pewma_step`` and ``detector.score`` return it.
+beta = 0. Both detectors share this stdlib-only module's ``Verdict``, which
+``pewma_step`` and ``detector.score`` return, and its ``check_tau`` rule.
 """
 
 from __future__ import annotations
@@ -21,6 +21,12 @@ from .errors import InvalidInputError
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LOG_INV_SQRT_2PI = math.log(INV_SQRT_2PI)
+
+
+def check_tau(tau: float | None) -> None:
+    """Raise InvalidInputError unless ``tau`` is None or finite and >= 0."""
+    if tau is not None and not (math.isfinite(tau) and tau >= 0.0):
+        raise InvalidInputError(f"tau must be finite and >= 0, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +52,7 @@ class PewmaParams:
             raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha}")
         if not (0.0 <= self.beta <= 1.0):
             raise InvalidInputError(f"beta must be in [0, 1], got {self.beta}")
-        if not (math.isfinite(self.tau) and self.tau >= 0.0):
-            raise InvalidInputError(f"tau must be finite and >= 0, got {self.tau}")
+        check_tau(self.tau)
         if self.warmup_T < 1:
             raise InvalidInputError(f"warmup_T must be >= 1, got {self.warmup_T}")
         if not (math.isfinite(self.sigma_floor) and self.sigma_floor > 0.0):

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -294,6 +295,37 @@ class TestDetectMultivariate:
             run_detect(lines, config, io.StringIO(), io.StringIO())
         assert len(list(lines)) == 150
 
+    def test_singular_static_fit_is_fatal(self, runner):
+        # Three equal columns at scale 1e20: the absolute jitter ladder stops
+        # near 110, so the rank-one covariance never factorizes.
+        column = np.random.default_rng(11).normal(0.0, 1e20, 100)
+        text = "".join(f"{v:.17g},{v:.17g},{v:.17g}\n" for v in column)
+        result = runner.invoke(main, ["detect", "--mode", "multivariate"], input=text)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("fatal: static fit failed: ")
+
+    def test_non_ascii_checkpoint_is_usage_error(self, runner, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(b"\xef\xbb\xbfdriftwatch-model 3\n")  # a byte-order mark first
+        result = runner.invoke(main, ["detect", "--mode", "multivariate", "--checkpoint",
+                                      str(ckpt)], input=self.stream_text(110, 2, seed=12))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "does not start with" in result.stderr
+
+    @pytest.mark.parametrize("target", [".", "missing/model.ckpt", None])
+    def test_checkpoint_path_that_cannot_be_saved_is_usage_error(self, runner, tmp_path, target):
+        # A directory, a file in a directory that does not exist, or the empty
+        # path: each is refused before any input is read, not after every verdict.
+        ckpt = "" if target is None else str(tmp_path / target)
+        result = runner.invoke(main, ["detect", "--mode", "multivariate", "--checkpoint", ckpt],
+                               input=self.stream_text(110, 2, seed=12))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Error:" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_checkpoint_requires_multivariate(self, runner, tmp_path):
         result = runner.invoke(
             main, ["detect", "--checkpoint", str(tmp_path / "x")], input="1.0\n"
@@ -366,6 +398,69 @@ class TestLineReader:
             assert indices == list(range(first_index, 30)), mode
             outputs[mode] = [row.split(",")[1] for row in result.stdout.splitlines()]
         assert outputs["multivariate"] == outputs["univariate"][5:]
+
+
+class TestUndecodableInput:
+    """A line that is not valid UTF-8 is one malformed line: it is reported
+    and skipped, and the stream goes on."""
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("mode,first_index", [("univariate", 0), ("multivariate", 5)])
+    def test_bad_bytes_skip_one_line(self, runner, mode, first_index, header):
+        lines = [f"{v:.17g}".encode() for v in gen_random_stream(20, 1, seed=13)[:, 0]]
+        if header:
+            lines.insert(0, b"value")
+        args = ["detect", "--mode", mode, "--static-points", "5"] + (["--header"] if header else [])
+        clean = runner.invoke(main, args, input=b"\n".join(lines) + b"\n")
+        assert clean.exit_code == 0
+        lines.insert(8, b"\xff\xfe")
+        result = runner.invoke(main, args, input=b"\n".join(lines) + b"\n")
+        assert result.exit_code == 1
+        assert result.stderr.startswith("line 9: skipped: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stdout == clean.stdout
+        assert int(result.stdout.split(",", 1)[0]) == first_index
+
+
+class TestNoTraceback:
+    """Seeded random byte streams through ``detect`` in both modes, with and
+    without ``--header`` and ``--format jsonl``: every run exits 0, 1 or 2,
+    and no exception but the command's own exit escapes."""
+
+    TOKENS = ["0", "1", "7", "42", ".", "-", "e", "nan", "inf", "1e308", "-1e308", ",", " ",
+              "x", "\x00", "\xff"]
+
+    @classmethod
+    def field(cls, rng) -> str:
+        if rng.random() < 0.8:  # mostly numbers, from tiny to overflowing
+            exponent = rng.choice(["", ".5", "e-300", "e307", "e308"])
+            return f"{rng.choice(['', '-'])}{rng.randint(0, 99)}{exponent}"
+        return "".join(rng.choice(cls.TOKENS) for _ in range(rng.randint(1, 3)))
+
+    @classmethod
+    def stream(cls, rng) -> bytes:
+        fields = rng.randint(1, 3)
+        lines = [
+            "" if rng.random() < 0.1 else ",".join(cls.field(rng) for _ in range(fields))
+            for _ in range(rng.randint(0, 16))
+        ]
+        newline = rng.choice(["\n", "\r\n"])
+        return newline.join(lines).encode("latin-1") + newline.encode() * rng.randint(0, 1)
+
+    def test_random_streams(self, runner):
+        rng = random.Random(20261018)
+        for case in range(400):
+            data = self.stream(rng)
+            args = ["detect", "--mode", ("univariate", "multivariate")[case % 2],
+                    "--static-points", "3"]
+            if case // 2 % 2:
+                args.append("--header")
+            if case // 4 % 2:
+                args += ["--format", "jsonl"]
+            result = runner.invoke(main, args, input=data)
+            assert result.exit_code in (0, 1, 2), (args, data, result.exception)
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                args, data, result.exception)
 
 
 class TestOutputContract:
@@ -496,6 +591,19 @@ class TestExperimentCommand:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert message in result.stderr
+
+    def test_count_too_small_names_the_rows_needed(self, runner):
+        args = ["experiment", "--which", "1", "--dim", "15", "--seeds", "0"]
+        result = runner.invoke(main, [*args, "--count", "79"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "79 points cannot fill 5 segments of 16 rows" in result.stderr
+        assert runner.invoke(main, [*args, "--count", "80"]).exit_code == 0
+
+    def test_empty_seed_list_is_usage_error(self, runner):
+        result = runner.invoke(main, ["experiment", "--which", "1", "--seeds", ","])
+        assert result.exit_code == 2
+        assert "at least one seed" in result.stderr
 
     def test_bad_seed_list_is_usage_error(self, runner):
         result = runner.invoke(

@@ -84,6 +84,10 @@ class TestFitStatic:
         with pytest.raises(InvalidInputError):
             fit_static(data)
 
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(InvalidInputError, match="expected 2-D data"):
+            fit_static(np.zeros((10, 2, 2)))
+
     def test_one_dimensional_input(self):
         model = fit_static(np.array([-1.0, 0.0, 1.0]))
         assert model.m == 1
@@ -166,6 +170,16 @@ class TestUpdateOnline:
         model = fitted_model(rng, n=100)
         model = replace(model, updates_since_refactor=REFACTOR_EVERY - updates_to_rebuild)
         assert update_online(model, np.full(3, value)) is model
+
+    def test_rebuild_that_cannot_factorize_is_refused(self):
+        # The blend is finite, but at scale 1e40 the absolute jitter ladder
+        # stops near 110, far too small to make the rank-one blend of two
+        # equal columns positive definite, so the periodic rebuild fails.
+        model = GaussianModel(
+            m=2, n=100, mu=np.zeros(2), cov=1e40 * np.ones((2, 2)), cinv=np.eye(2) / 1e40,
+            log_det=0.0, blend=derive_blend(100), updates_since_refactor=REFACTOR_EVERY - 1,
+        )
+        assert update_online(model, np.array([1e20, 1e20])) is model
 
     def test_non_finite_point_rejected(self):
         rng = np.random.default_rng(16)
@@ -519,7 +533,7 @@ class TestCheckpoint:
             load_model(io.StringIO("not a header\n"))
 
     # Line layout: version, "m n", state, mean, then the covariance rows.
-    STATE_ROW, FIRST_COV_ROW = 2, 4
+    STATE_ROW, MEAN_ROW, FIRST_COV_ROW = 2, 3, 4
 
     @staticmethod
     def corrupt_lines(edit):
@@ -533,6 +547,46 @@ class TestCheckpoint:
         tokens = lines[row].split()
         tokens[col] = value
         lines[row] = " ".join(tokens)
+
+    @pytest.mark.parametrize(
+        "header,match",
+        [
+            ("3", "malformed checkpoint header"),
+            ("3 50 7", "malformed checkpoint header"),
+            ("3 x", "malformed checkpoint header: '3 x'"),
+            ("0 50", "out of range"),
+            ("3 0", "out of range"),
+        ],
+    )
+    def test_bad_header_rejected(self, header, match):
+        text = self.corrupt_lines(lambda lines: lines.__setitem__(1, header))
+        with pytest.raises(InvalidInputError, match=match):
+            load_model(text)
+
+    def test_non_number_in_a_row_rejected(self):
+        text = self.corrupt_lines(lambda lines: self.set_entry(lines, self.FIRST_COV_ROW, 0, "abc"))
+        with pytest.raises(InvalidInputError, match="malformed covariance row"):
+            load_model(text)
+
+    def test_row_of_the_wrong_length_rejected(self):
+        def extend_mean(lines):
+            lines[self.MEAN_ROW] += " 0.5"
+
+        with pytest.raises(InvalidInputError, match="mean row has 4 entries, expected 3"):
+            load_model(self.corrupt_lines(extend_mean))
+
+    @pytest.mark.parametrize(
+        "row,match",
+        # A byte-order mark before the version line, or a non-ASCII character
+        # in a covariance entry.
+        [(0, "does not start with"), (FIRST_COV_ROW, "malformed covariance row")],
+    )
+    def test_non_ascii_file_rejected(self, tmp_path, row, match):
+        path = tmp_path / "model.ckpt"
+        text = self.corrupt_lines(lambda lines: lines.__setitem__(row, "\ufeff" + lines[row]))
+        path.write_text(text.getvalue(), encoding="utf-8")
+        with pytest.raises(InvalidInputError, match=match):
+            load_model(path)
 
     def test_non_finite_inverse_rejected(self):
         text = self.corrupt_lines(lambda lines: self.set_entry(lines, -1, -1, "nan"))

@@ -1,4 +1,6 @@
 import io
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +164,19 @@ class TestExperiments:
         with pytest.raises(InvalidInputError, match="cannot fill"):
             run_experiment_1(np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("runner", [run_experiment_1, run_experiment_2])
+    def test_each_segment_must_support_a_fit(self, runner):
+        # The first static prefix is one segment of n // 5 rows, and a fit
+        # at dimension m needs m + 1 of them.
+        with pytest.raises(InvalidInputError, match="79 points cannot fill 5 segments of 16 rows"):
+            runner(gen_random_stream(79, 15, seed=1))
+        assert len(runner(gen_random_stream(80, 15, seed=1))) == 4
+
+    def test_one_dimensional_data_is_one_column(self):
+        data = gen_random_stream(60, 1, seed=2)
+        untimed = lambda reports: [replace(r, elapsed=0.0) for r in reports]
+        assert untimed(run_experiment_1(data[:, 0])) == untimed(run_experiment_1(data))
+
 
 class TestGenerators:
     def test_random_stream_deterministic(self):
@@ -228,6 +243,8 @@ class TestGenerators:
             ShiftSpec(kind="abrupt-transient", at=0.0)
         with pytest.raises(InvalidInputError):
             ShiftSpec(kind="gradual-distributional", ramp=0)
+        with pytest.raises(InvalidInputError, match="magnitude must be finite"):
+            ShiftSpec(kind="abrupt-transient", magnitude=math.inf)
 
 
 class TestReportCsv:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from driftwatch.errors import InvalidInputError, NotPositiveDefiniteError
+from driftwatch.errors import InvalidInputError
 from driftwatch.linalg import (
     CovBlend,
     cholesky_factorize,
@@ -59,7 +59,7 @@ class TestCholeskyFactorize:
         np.testing.assert_allclose(factor @ factor.T, c + lam * np.eye(2), rtol=1e-9)
 
     def test_ladder_exhaustion(self):
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(InvalidInputError, match="jitter doublings"):
             cholesky_factorize(-1e30 * np.eye(2))
 
     def test_rejects_non_square(self):
@@ -146,6 +146,11 @@ class TestFactorRankOneUpdate:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             factor_rank_one_update(np.eye(3), np.ones(2), CovBlend(0.9, 0.1))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_direction_raises(self, value):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            factor_rank_one_update(np.eye(3), np.array([1.0, value, 0.0]), CovBlend(0.9, 0.1))
 
     def test_invalid_blend_rejected(self):
         with pytest.raises(InvalidInputError):
