@@ -221,19 +221,19 @@ def detect(ctx, input_file, fmt, header, checkpoint, **settings):
 
 @main.command()
 @click.option("--kind", type=click.Choice(list(SHIFT_KINDS)), required=True)
-@click.option("--at", type=float, default=0.5, show_default=True,
+@click.option("--at", type=float, default=ShiftSpec.at, show_default=True,
               help="Fractional position of the shift.")
-@click.option("--magnitude", type=float, default=5.0, show_default=True)
-@click.option("--ramp", type=int, default=1, show_default=True,
+@click.option("--magnitude", type=float, default=ShiftSpec.magnitude, show_default=True)
+@click.option("--ramp", type=int, default=ShiftSpec.ramp, show_default=True,
               help="Ramp length for gradual shifts.")
 @click.option("--count", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--dim", type=int, default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
-def simulate(kind, at, magnitude, ramp, count, seed, dim, fmt):
+def simulate(count, seed, dim, fmt, **spec):
     """Emit a synthetic stream, one point per line (CSV for dim > 1)."""
     try:
-        offsets = shift_offsets(count, ShiftSpec(kind=kind, at=at, magnitude=magnitude, ramp=ramp))
+        offsets = shift_offsets(count, ShiftSpec(**spec))
         stream = gen_random_stream(count, dim, seed) + offsets[:, None]
     except InvalidInputError as exc:
         raise click.UsageError(str(exc)) from exc

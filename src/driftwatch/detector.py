@@ -131,14 +131,15 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
     determinant lemma, log |C'| = log |C| + m log alpha + log1p((beta/alpha) q).
     All of it is O(m²).
 
-    A degenerate residual (q below 1e-30, e.g. x at the mean) updates only
-    the mean and count. The inverse and log-determinant are rebuilt exactly
-    when the residual of the pre-update pair along d, ‖C w - d‖∞ / ‖d‖∞,
-    exceeds ``DRIFT_LIMIT``, or after ``REFACTOR_EVERY`` rank-one updates.
-    A point is refused, and the model returned unchanged, when its rank-one
-    term would swamp C in float64, (beta/alpha) q eps >= 1 with eps the
-    machine epsilon (a huge but finite x), or when the blend is non-finite
-    or cannot be factorized.
+    Each point is either refused, and the model returned unchanged, or
+    blended; there is no third path. It is refused when q is not finite or
+    its rank-one term would swamp C in float64, (beta/alpha) q eps >= 1 with
+    eps the machine epsilon (a huge but finite x), or when the blend is
+    non-finite or cannot be factorized. x at the mean (q = 0) is blended
+    too: C' = alpha C.
+    The inverse and log-determinant are rebuilt exactly when the residual
+    of the pre-update pair along d, ‖C w - d‖∞, exceeds ``DRIFT_LIMIT`` ‖d‖∞,
+    or after ``REFACTOR_EVERY`` rank-one updates.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.m:
@@ -147,25 +148,24 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
     # ndarray.dot makes the same BLAS call as @ at half its overhead on small arrays.
     w = model.cinv.dot(d)
     q = float(d.dot(w))
-    # A non-finite entry makes q non-finite, so only then is x checked.
-    if not math.isfinite(q) and not np.isfinite(x).all():
-        raise InvalidInputError("point contains non-finite entries")
-    n, blend = model.n + 1, model.blend
-    mu = (model.n * model.mu + x) / n
-    if q < linalg.DEGENERATE_NORM_SQ:
-        return GaussianModel(model.m, n, mu, model.cov, model.cinv, model.log_det, blend,
-                             model.updates_since_refactor, model.jitter_used)
+    blend = model.blend
     alpha, beta = blend.alpha, blend.beta
-    if not beta / alpha * q * FLOAT_EPS < 1.0:
+    if not math.isfinite(q) or beta / alpha * q * FLOAT_EPS >= 1.0:
+        # A non-finite entry makes q non-finite, so only here is x checked.
+        if not np.isfinite(x).all():
+            raise InvalidInputError("point contains non-finite entries")
         return model
+    n = model.n + 1
+    mu = (model.n * model.mu + x) / n
     cov = alpha * model.cov + beta * np.multiply.outer(d, d)
     if not np.isfinite(cov).all():
         return model
 
     updates = model.updates_since_refactor + 1
-    drift = float(np.abs(model.cov.dot(w) - d).max() / np.abs(d).max())
-    if updates < REFACTOR_EVERY and drift <= DRIFT_LIMIT:
-        # q >= 1e-30 here, so the kernel's denominator 1 + (beta/alpha) q is >= 1.
+    drift_ok = np.abs(model.cov.dot(w) - d).max() <= DRIFT_LIMIT * np.abs(d).max()
+    if updates < REFACTOR_EVERY and drift_ok:
+        # q is finite and, for a positive definite inverse, >= 0 up to rounding,
+        # so the kernel's denominator 1 + (beta/alpha) q is about 1 or more.
         cinv = linalg._sherman_morrison(model.cinv, w, q, blend)
         log_det = model.log_det + model.m * math.log(alpha) + math.log1p(beta / alpha * q)
         return GaussianModel(model.m, n, mu, cov, cinv, log_det, blend, updates,
@@ -181,30 +181,21 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     """Absorb the rows of ``xs`` at once: the model that folding
     ``update_online`` over them gives, in closed form.
 
-    The residuals d_j = x_j - mu_j are taken against the running mean of
-    ``update_online``'s own recurrence, in the same order, so the means
-    match it bit for bit. With K non-degenerate residuals, kept in order,
-    the blended covariance is
+    A row is refused, as ``update_online`` refuses it, when q is not finite
+    or its rank-one term would swamp C in float64, (beta/alpha) q eps >= 1,
+    with q taken against the starting mean and inverse; every other row is
+    blended. The residuals d_j = x_j - mu_j of the K blended rows are taken
+    against the running mean of ``update_online``'s own recurrence, in the
+    same order, so the means match it bit for bit, and the covariance is
 
         C_K = alpha^K C_0 + sum_r beta alpha^(K-1-r) d_r d_rᵀ,
 
     formed as one weighted product, then factorized once; the inverse and
     log-determinant are rebuilt exactly and ``updates_since_refactor`` is 0.
-
-    A residual is degenerate, and moves only the mean and count, when
-    d_jᵀ C_0⁻¹ d_j against the *starting* inverse is below 1e-30.
-    ``update_online`` measures it against the current inverse instead, so
-    the two can differ only for residuals that are nonzero yet measure
-    below about 1e-30; a point exactly at the running mean is skipped by
-    both. Any jitter the final factorization needs is added to the
-    covariance and to ``jitter_used``.
-
-    A row is refused, as ``update_online`` refuses it, when its rank-one
-    term would swamp C in float64, (beta/alpha) q eps >= 1, with q taken
-    against the starting mean and inverse. An empty batch, or one whose
-    rows are all refused, returns the model unchanged. Rows that are
-    non-finite or not of length m raise InvalidInputError, as in
-    ``update_online``.
+    Any jitter the factorization needs is added to the covariance and to
+    ``jitter_used``. An empty batch, or one whose rows are all refused,
+    returns the model unchanged. Rows that are non-finite or not of length
+    m raise InvalidInputError, as in ``update_online``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.m:
@@ -215,8 +206,9 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     with np.errstate(over="ignore", invalid="ignore"):  # a huge row overflows q; it is refused
         start = xs - model.mu
         q = np.einsum("ij,ij->i", start @ model.cinv, start)
-        xs = xs[beta / alpha * q * FLOAT_EPS < 1.0]
-    if xs.shape[0] == 0:
+        xs = xs[np.isfinite(q) & (beta / alpha * q * FLOAT_EPS < 1.0)]
+    k = xs.shape[0]
+    if k == 0:
         return model
 
     means = np.empty_like(xs)
@@ -225,16 +217,11 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
         means[j] = mu
         mu = (n * mu + x) / (n + 1)
         n += 1
-    resid = xs - means
-
-    whitened_sq = np.einsum("ij,ij->i", resid @ model.cinv, resid)
-    keep = whitened_sq >= linalg.DEGENERATE_NORM_SQ
-    kept = resid[keep]
-    k = kept.shape[0]
     # Row r carries weight beta * alpha^(K-1-r); scaling it by the square
     # root makes the sum one symmetric product.
-    kept *= (math.sqrt(beta) * alpha ** (0.5 * np.arange(k - 1, -1, -1.0)))[:, None]
-    cov, cinv, log_det, lam = _factorized(alpha**k * model.cov + kept.T @ kept)
+    weights = math.sqrt(beta) * alpha ** (0.5 * np.arange(k - 1, -1, -1.0))
+    resid = (xs - means) * weights[:, None]
+    cov, cinv, log_det, lam = _factorized(alpha**k * model.cov + resid.T @ resid)
     return GaussianModel(model.m, n, mu, cov, cinv, log_det, model.blend, 0,
                          model.jitter_used + lam)
 

@@ -55,7 +55,7 @@ class ShiftSpec:
 
     kind: str
     at: float = 0.5
-    magnitude: float = 1.0
+    magnitude: float = 5.0
     ramp: int = 1
 
     def __post_init__(self) -> None:

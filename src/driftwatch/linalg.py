@@ -108,14 +108,15 @@ def factor_rank_one_update(a, z, blend: CovBlend) -> np.ndarray:
     triangular factor of that blend is unique, and triangularity is what
     keeps forward substitution and the diagonal log-determinant valid.)
 
-    Raises InvalidInputError when ``‖z‖²`` is below 1e-30; callers should
-    skip the update for such directions.
+    Raises InvalidInputError when ``‖z‖²`` is below 1e-30 or not finite
+    (a non-finite or huge entry); callers should skip such directions.
     """
     a = _as_square_matrix(a, "factor")
     z = _as_vector(z, a.shape[0], "direction")
-    norm_sq = float(z @ z)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge finite z overflows ‖z‖²
+        norm_sq = float(z @ z)
     if not math.isfinite(norm_sq):
-        raise InvalidInputError("direction contains non-finite entries")
+        raise InvalidInputError(f"direction norm² {norm_sq:g} is non-finite")
     if norm_sq < DEGENERATE_NORM_SQ:
         raise InvalidInputError(f"direction norm² {norm_sq:g} is degenerate")
     out = a * math.sqrt(blend.alpha)

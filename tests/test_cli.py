@@ -13,6 +13,7 @@ from driftwatch.detector import fit_static, load_model, score, update_online
 from driftwatch.errors import InvalidInputError
 from driftwatch.pewma import INV_SQRT_2PI, PewmaParams, pewma_init, pewma_step
 from driftwatch.harness import gen_random_stream, gen_shift_stream, ShiftSpec, run_experiment_1
+from test_detector import awkward_stream
 
 
 @pytest.fixture
@@ -334,6 +335,20 @@ class TestDetectMultivariate:
 
     def test_huge_point_does_not_end_the_stream(self, runner, tmp_path):
         self.check_huge_point_refused(runner, tmp_path, "1e200")
+
+    def test_one_overflowing_line_does_not_end_the_stream(self, runner):
+        # Row 220 of this stream is about 2e200 per entry, and its dᵀC⁻¹d
+        # overflows to -inf. It must be refused: absorbing it would move the
+        # mean to about 1e197 and flag every later point.
+        rows = awkward_stream("spikes", 626, 3, seed=1)[:606]
+        text = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+        result = runner.invoke(main, ["detect", "--mode", "multivariate", "--static-points", "6"],
+                               input=text)
+        assert result.exit_code == 0, result.stderr
+        flags = [line.endswith(",true") for line in result.stdout.splitlines()]
+        assert len(flags) == 600
+        before, after = flags[: 220 - 6], flags[220 - 6 + 1 :]
+        assert sum(after) / len(after) <= 2 * sum(before) / len(before)
 
     @pytest.mark.parametrize("value", ["1e12", "1e30"])
     def test_huge_finite_point_is_refused(self, runner, tmp_path, value):

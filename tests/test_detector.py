@@ -102,14 +102,19 @@ class TestFitStatic:
 
 
 class TestUpdateOnline:
-    def test_point_at_mean_touches_only_count(self):
+    def test_point_at_mean_decays_covariance(self):
+        # d = 0 takes the blend like any point: C' = alpha C, C'⁻¹ = C⁻¹ / alpha
+        # and log |C'| = log |C| + m log alpha, all exactly.
         rng = np.random.default_rng(1)
         model = fitted_model(rng)
+        alpha = model.blend.alpha
         updated = update_online(model, model.mu.copy())
         assert updated.n == model.n + 1
         np.testing.assert_allclose(updated.mu, model.mu, rtol=1e-15)
-        np.testing.assert_array_equal(updated.cov, model.cov)
-        np.testing.assert_array_equal(updated.cinv, model.cinv)
+        np.testing.assert_array_equal(updated.cov, alpha * model.cov)
+        np.testing.assert_array_equal(updated.cinv, model.cinv / alpha)
+        assert updated.log_det == model.log_det + 3 * math.log(alpha)
+        assert updated.updates_since_refactor == model.updates_since_refactor + 1
 
     def test_axis_aligned_blend_example(self):
         model = GaussianModel(
@@ -220,13 +225,15 @@ class TestUpdateOnline:
         rng = np.random.default_rng(19)
         model = fitted_model(rng, n=40, dim=4)
         model = replace(model, updates_since_refactor=REFACTOR_EVERY - 2)
-        for x in (model.mu.copy(), *rng.standard_normal((3, 4))):  # skip, update, rebuild, update
+        counters = []
+        for x in (model.mu.copy(), *rng.standard_normal((3, 4))):  # blend, rebuild, blend, blend
             before = [a.copy() for a in (model.mu, model.cov, model.cinv)]
             updated = update_online(model, x)
             for a, b in zip((model.mu, model.cov, model.cinv), before):
                 np.testing.assert_array_equal(a, b)
+            counters.append(updated.updates_since_refactor)
             model = updated
-        assert model.updates_since_refactor == 1
+        assert counters == [REFACTOR_EVERY - 1, 0, 1, 2]
 
     def test_streamed_mean_equals_batch_mean(self):
         rng = np.random.default_rng(21)
@@ -283,8 +290,8 @@ class TestUpdateMany:
         at_mean = 0
         for j, x in enumerate(xs):
             if j % 97 == 5:
-                # Exactly at the running mean as update_online sees it: a
-                # degenerate direction that moves only the mean and count.
+                # Exactly at the running mean as update_online sees it:
+                # d = 0, blended like any point, C' = alpha C.
                 xs[j] = x = folded.mu
                 at_mean += 1
             folded = update_online(folded, x)
@@ -298,15 +305,17 @@ class TestUpdateMany:
         assert abs(batched.log_det - folded.log_det) < 1e-9 * abs(folded.log_det)
         assert batched.updates_since_refactor == 0
 
-    def test_all_points_at_mean_keep_covariance(self):
+    def test_all_points_at_mean_decay_covariance(self):
         rng = np.random.default_rng(31)
         model = fitted_model(rng, n=30, dim=3)
+        alpha = model.blend.alpha
         # After the first point the running mean moves by rounding only, so
-        # the later residuals are tiny but nonzero and whiten below 1e-30.
+        # the later residuals are tiny but nonzero; all five take the blend.
         batched = update_many(model, np.tile(model.mu, (5, 1)))
         assert batched.n == model.n + 5
         np.testing.assert_allclose(batched.mu, model.mu, rtol=1e-15)
-        assert rel_err(batched.cov, model.cov) < 1e-12
+        assert rel_err(batched.cov, alpha**5 * model.cov) < 1e-15
+        assert batched.log_det == pytest.approx(model.log_det + 15 * math.log(alpha), abs=1e-12)
 
     def test_empty_batch_returns_model_unchanged(self):
         rng = np.random.default_rng(32)
@@ -607,8 +616,8 @@ class TestCheckpoint:
             load_model(self.corrupt_lines(negate_diagonal))
 
     def test_negated_inverse_rejected(self):
-        # Every dᵀC⁻¹d would be negative, so every later point would be
-        # skipped as degenerate and detection would silently stop.
+        # Every dᵀC⁻¹d would be negative, so every d² would clamp to 0 and no
+        # later point would be flagged, while each blend corrupted the model.
         def negate_inverse(lines):
             for i in range(1, 4):
                 lines[-i] = " ".join(repr(-float(tok)) for tok in lines[-i].split())
@@ -703,10 +712,10 @@ class TestExactSymmetry:
             self.assert_symmetric(load_model(io.StringIO(model_to_text(model))))
             for i, x in enumerate(online):
                 new = update_online(model, model.mu.copy() if i == 5 else x)
+                if i == 5:  # x at the mean takes the blend too: C' = alpha C
+                    assert np.array_equal(new.cov, model.blend.alpha * model.cov)
                 if new is model:
                     paths.add("refused")
-                elif new.cov is model.cov:
-                    paths.add("degenerate")
                 elif new.updates_since_refactor:
                     paths.add("rank-one")
                 elif model.updates_since_refactor == REFACTOR_EVERY - 1:
@@ -718,4 +727,26 @@ class TestExactSymmetry:
             batch = update_many(fit_static(static), online)
             self.assert_symmetric(batch)
             self.assert_symmetric(load_model(io.StringIO(model_to_text(batch))))
-        assert paths == {"refused", "degenerate", "rank-one", "periodic rebuild", "drift rebuild"}
+        assert paths == {"refused", "rank-one", "periodic rebuild", "drift rebuild"}
+
+
+class TestAdmission:
+    """A point is refused, leaving the model as it was, or blended; the fold
+    of ``update_online`` and ``update_many`` admit the same rows."""
+
+    @pytest.mark.parametrize("m", [3, 15, 50])
+    def test_fold_and_batch_admit_the_same_rows(self, m):
+        for kind in TestExactSymmetry.KINDS:
+            data = awkward_stream(kind, 2 * m + 600, m, seed=1)
+            model = fit_static(data[: 2 * m])
+            online = data[2 * m :]
+            folded = model
+            for x in online:
+                new = update_online(folded, x)
+                # Refused leaves the whole model, mean included, as it was;
+                # admitted takes the blend, never the mean and count alone.
+                assert new is folded or (new.n == folded.n + 1 and new.cov is not folded.cov), kind
+                folded = new
+            batched = update_many(model, online)
+            assert batched.n == folded.n, kind
+            np.testing.assert_array_equal(batched.mu, folded.mu, err_msg=kind)

@@ -147,7 +147,7 @@ class TestFactorRankOneUpdate:
         with pytest.raises(InvalidInputError):
             factor_rank_one_update(np.eye(3), np.ones(2), CovBlend(0.9, 0.1))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200])
     def test_non_finite_direction_raises(self, value):
         with pytest.raises(InvalidInputError, match="non-finite"):
             factor_rank_one_update(np.eye(3), np.array([1.0, value, 0.0]), CovBlend(0.9, 0.1))
