@@ -4,9 +4,10 @@ A model is fit on an initial batch (mean, covariance, inverse covariance,
 log-determinant), then updated point by point in O(m²): the covariance by
 its rank-one blend, the inverse by the Sherman-Morrison kernel in
 ``linalg``, the log-determinant by the matrix determinant lemma, and the
-mean by the exact incremental recurrence. The inverse and log-determinant
-are rebuilt exactly from a Cholesky factorization when drift shows or
-every ``REFACTOR_EVERY`` updates (a constant, like the starting jitter).
+mean as the running sum of the absorbed points over their count, mean =
+sum / n. The inverse and log-determinant are rebuilt exactly from a
+Cholesky factorization when drift shows or every ``REFACTOR_EVERY``
+updates (a constant, like the starting jitter).
 ``score`` flags a point farther than Mahalanobis distance 3 or, given a
 density threshold tau, one whose log-density falls below log tau; it
 returns the ``Verdict`` that ``pewma`` defines for both detectors.
@@ -37,14 +38,17 @@ REFACTOR_EVERY = 256
 FLOAT_EPS = float(np.finfo(np.float64).eps)
 LOG_DET_TOL = 1e-6
 MAHALANOBIS_SQ_LIMIT = 9.0
-CHECKPOINT_VERSION = "driftwatch-model 3"
+CHECKPOINT_VERSION = "driftwatch-model 4"
 
 
 @dataclass(frozen=True)
 class GaussianModel:
     """Gaussian stream model N(mu, C), with C carried as ``cov``.
 
-    ``cov`` includes any jitter a factorization needed (the total is
+    ``total`` is the running sum of the ``n`` absorbed points and the mean
+    is always derived from it, ``mu = total / n``; the sum is carried, not
+    the mean, so one point and a batch of points share one recurrence.
+    ``cov`` includes any jitter a factorization needed (all of it summed in
     ``jitter_used``). ``cinv`` tracks C⁻¹ and ``log_det`` tracks log |C|.
     ``blend`` holds the forgetting weights applied per update, and
     ``updates_since_refactor`` counts rank-one inverse updates since the
@@ -53,6 +57,7 @@ class GaussianModel:
 
     m: int
     n: int
+    total: np.ndarray
     mu: np.ndarray
     cov: np.ndarray
     cinv: np.ndarray
@@ -106,13 +111,14 @@ def fit_static(data) -> GaussianModel:
     if n <= m:
         raise InvalidInputError(f"need at least {m + 1} samples for dimension {m}, got {n}")
 
-    mu = data.mean(axis=0)
+    total = data.sum(axis=0)
     cov = np.atleast_2d(np.cov(data, rowvar=False, ddof=1))
     cov, cinv, log_det, lam = _factorized(cov)
     return GaussianModel(
         m=m,
         n=n,
-        mu=mu,
+        total=total,
+        mu=total / n,
         cov=cov,
         cinv=cinv,
         log_det=log_det,
@@ -156,7 +162,8 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
             raise InvalidInputError("point contains non-finite entries")
         return model
     n = model.n + 1
-    mu = (model.n * model.mu + x) / n
+    total = model.total + x
+    mu = total / n
     cov = alpha * model.cov + beta * np.multiply.outer(d, d)
     if not np.isfinite(cov).all():
         return model
@@ -168,13 +175,14 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
         # so the kernel's denominator 1 + (beta/alpha) q is about 1 or more.
         cinv = linalg._sherman_morrison(model.cinv, w, q, blend)
         log_det = model.log_det + model.m * math.log(alpha) + math.log1p(beta / alpha * q)
-        return GaussianModel(model.m, n, mu, cov, cinv, log_det, blend, updates,
+        return GaussianModel(model.m, n, total, mu, cov, cinv, log_det, blend, updates,
                              model.jitter_used)
     try:
         cov, cinv, log_det, lam = _factorized(cov)
     except InvalidInputError:  # only an exhausted jitter ladder raises here
         return model
-    return GaussianModel(model.m, n, mu, cov, cinv, log_det, blend, 0, model.jitter_used + lam)
+    return GaussianModel(model.m, n, total, mu, cov, cinv, log_det, blend, 0,
+                         model.jitter_used + lam)
 
 
 def update_many(model: GaussianModel, xs) -> GaussianModel:
@@ -185,8 +193,9 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     or its rank-one term would swamp C in float64, (beta/alpha) q eps >= 1,
     with q taken against the starting mean and inverse; every other row is
     blended. The residuals d_j = x_j - mu_j of the K blended rows are taken
-    against the running mean of ``update_online``'s own recurrence, in the
-    same order, so the means match it bit for bit, and the covariance is
+    against the running mean, mu_j = (running sum) / (n + j), one prefix sum
+    in the row order ``update_online`` adds them, so the sums and means match
+    it bit for bit, and the covariance is
 
         C_K = alpha^K C_0 + sum_r beta alpha^(K-1-r) d_r d_rᵀ,
 
@@ -211,19 +220,18 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     if k == 0:
         return model
 
-    means = np.empty_like(xs)
-    mu, n = model.mu, model.n
-    for j, x in enumerate(xs):
-        means[j] = mu
-        mu = (n * mu + x) / (n + 1)
-        n += 1
+    # The starting sum goes first so each prefix is ((t0 + x0) + x1) + ...,
+    # the order of update_online's additions; row j is the sum before row j.
+    totals = np.cumsum(np.vstack([model.total, xs]), axis=0)
+    means = totals / np.arange(model.n, model.n + k + 1, dtype=np.float64)[:, None]
     # Row r carries weight beta * alpha^(K-1-r); scaling it by the square
     # root makes the sum one symmetric product.
     weights = math.sqrt(beta) * alpha ** (0.5 * np.arange(k - 1, -1, -1.0))
-    resid = (xs - means) * weights[:, None]
+    resid = (xs - means[:-1]) * weights[:, None]
     cov, cinv, log_det, lam = _factorized(alpha**k * model.cov + resid.T @ resid)
-    return GaussianModel(model.m, n, mu, cov, cinv, log_det, model.blend, 0,
-                         model.jitter_used + lam)
+    # Copies, so the model does not keep the whole batch's prefix sums alive.
+    return GaussianModel(model.m, model.n + k, totals[-1].copy(), means[-1].copy(), cov, cinv,
+                         log_det, model.blend, 0, model.jitter_used + lam)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge x scores d² = inf
@@ -265,11 +273,12 @@ def score(model: GaussianModel, x, tau: float | None = None) -> Verdict:
 # --- checkpoint serialization ------------------------------------------------
 #
 # Flat text format: the version line, a header line "m n", a state line
-# "alpha beta log_det updates_since_refactor jitter_used", then the mean,
-# then the covariance rows, then the inverse-covariance rows, one line
-# each, entries separated by single spaces with 17 significant digits
-# (lossless for float64). The file holds the whole model, so a resumed
-# stream continues exactly as one that never stopped.
+# "alpha beta log_det updates_since_refactor jitter_used", then the running
+# sum of the absorbed points (the mean is derived, sum / n), then the
+# covariance rows, then the inverse-covariance rows, one line each,
+# entries separated by single spaces with 17 significant digits (lossless
+# for float64). The file holds the whole model, so a resumed stream
+# continues exactly as one that never stopped.
 
 
 def _fmt_row(row) -> str:
@@ -288,7 +297,7 @@ def save_model(model: GaussianModel, dest) -> None:
         f"{_fmt_row((model.blend.alpha, model.blend.beta, model.log_det))} "
         f"{model.updates_since_refactor} {model.jitter_used:.17g}\n"
     )
-    dest.write(_fmt_row(model.mu) + "\n")
+    dest.write(_fmt_row(model.total) + "\n")
     for row in model.cov:
         dest.write(_fmt_row(row) + "\n")
     for row in model.cinv:
@@ -348,7 +357,7 @@ def load_model(src) -> GaussianModel:
             raise InvalidInputError(f"non-finite {label} row: {text!r}")
         return row
 
-    mu = parse_row(lines[3], "mean")
+    total = parse_row(lines[3], "sum")
     cov = np.vstack([parse_row(lines[4 + i], "covariance") for i in range(m)])
     cinv = np.vstack([parse_row(lines[4 + m + i], "inverse") for i in range(m)])
     if not np.array_equal(cov, cov.T):
@@ -366,7 +375,8 @@ def load_model(src) -> GaussianModel:
     return GaussianModel(
         m=m,
         n=n,
-        mu=mu,
+        total=total,
+        mu=total / n,
         cov=cov,
         cinv=cinv,
         log_det=log_det,

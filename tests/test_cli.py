@@ -308,7 +308,7 @@ class TestDetectMultivariate:
 
     def test_non_ascii_checkpoint_is_usage_error(self, runner, tmp_path):
         ckpt = tmp_path / "model.ckpt"
-        ckpt.write_bytes(b"\xef\xbb\xbfdriftwatch-model 3\n")  # a byte-order mark first
+        ckpt.write_bytes(b"\xef\xbb\xbfdriftwatch-model 4\n")  # a byte-order mark first
         result = runner.invoke(main, ["detect", "--mode", "multivariate", "--checkpoint",
                                       str(ckpt)], input=self.stream_text(110, 2, seed=12))
         assert result.exit_code == 2

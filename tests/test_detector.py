@@ -120,6 +120,7 @@ class TestUpdateOnline:
         model = GaussianModel(
             m=2,
             n=10,
+            total=np.zeros(2),
             mu=np.zeros(2),
             cov=np.eye(2),
             cinv=np.eye(2),
@@ -181,8 +182,9 @@ class TestUpdateOnline:
         # stops near 110, far too small to make the rank-one blend of two
         # equal columns positive definite, so the periodic rebuild fails.
         model = GaussianModel(
-            m=2, n=100, mu=np.zeros(2), cov=1e40 * np.ones((2, 2)), cinv=np.eye(2) / 1e40,
-            log_det=0.0, blend=derive_blend(100), updates_since_refactor=REFACTOR_EVERY - 1,
+            m=2, n=100, total=np.zeros(2), mu=np.zeros(2), cov=1e40 * np.ones((2, 2)),
+            cinv=np.eye(2) / 1e40, log_det=0.0, blend=derive_blend(100),
+            updates_since_refactor=REFACTOR_EVERY - 1,
         )
         assert update_online(model, np.array([1e20, 1e20])) is model
 
@@ -541,8 +543,8 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError):
             load_model(io.StringIO("not a header\n"))
 
-    # Line layout: version, "m n", state, mean, then the covariance rows.
-    STATE_ROW, MEAN_ROW, FIRST_COV_ROW = 2, 3, 4
+    # Line layout: version, "m n", state, sum, then the covariance rows.
+    STATE_ROW, SUM_ROW, FIRST_COV_ROW = 2, 3, 4
 
     @staticmethod
     def corrupt_lines(edit):
@@ -578,11 +580,11 @@ class TestCheckpoint:
             load_model(text)
 
     def test_row_of_the_wrong_length_rejected(self):
-        def extend_mean(lines):
-            lines[self.MEAN_ROW] += " 0.5"
+        def extend_sum(lines):
+            lines[self.SUM_ROW] += " 0.5"
 
-        with pytest.raises(InvalidInputError, match="mean row has 4 entries, expected 3"):
-            load_model(self.corrupt_lines(extend_mean))
+        with pytest.raises(InvalidInputError, match="sum row has 4 entries, expected 3"):
+            load_model(self.corrupt_lines(extend_sum))
 
     @pytest.mark.parametrize(
         "row,match",
@@ -633,13 +635,36 @@ class TestCheckpoint:
     def test_missing_version_line_rejected(self):
         # A checkpoint without the version line, such as the older format of
         # factor rows, must never be read as a covariance.
-        with pytest.raises(InvalidInputError, match="driftwatch-model 3"):
+        with pytest.raises(InvalidInputError, match="driftwatch-model 4"):
             load_model(self.corrupt_lines(lambda lines: lines.pop(0)))
+
+    def test_version_3_rejected(self):
+        # Version 3 stored the mean where version 4 stores the sum; read as
+        # a sum, that row would put the mean off by a factor of n.
+        def as_version_3(lines):
+            n = int(lines[1].split()[1])
+            lines[0] = "driftwatch-model 3"
+            mean = [float(v) / n for v in lines[self.SUM_ROW].split()]
+            lines[self.SUM_ROW] = " ".join(f"{v:.17g}" for v in mean)
+
+        with pytest.raises(InvalidInputError, match="driftwatch-model 4"):
+            load_model(self.corrupt_lines(as_version_3))
+
+    def test_round_trip_after_fold_and_batch(self):
+        rng = np.random.default_rng(76)
+        model = fitted_model(rng, n=40, dim=3)
+        for x in rng.standard_normal((20, 3)) * 2.0 + 0.5:
+            model = update_online(model, x)
+        model = update_many(model, rng.standard_normal((30, 3)) * 2.0 + 0.5)
+        loaded = load_model(io.StringIO(model_to_text(model)))
+        assert loaded.n == model.n == 90
+        np.testing.assert_array_equal(loaded.total, model.total)
+        np.testing.assert_array_equal(loaded.mu, model.mu)
 
     def test_unknown_version_rejected(self):
         # Version 2 lacks the state line, so it cannot resume exactly.
         text = self.corrupt_lines(lambda lines: lines.__setitem__(0, "driftwatch-model 2"))
-        with pytest.raises(InvalidInputError, match="driftwatch-model 3"):
+        with pytest.raises(InvalidInputError, match="driftwatch-model 4"):
             load_model(text)
 
     @pytest.mark.parametrize(
@@ -750,3 +775,43 @@ class TestAdmission:
             batched = update_many(model, online)
             assert batched.n == folded.n, kind
             np.testing.assert_array_equal(batched.mu, folded.mu, err_msg=kind)
+
+
+class TestRunningSum:
+    """The model carries the sum of its points and derives mu = total / n.
+    That mean is as accurate as the recurrence mu' = (n mu + x) / (n + 1)
+    it replaced, and ``update_many``'s prefix sum is the fold's, bit for bit."""
+
+    @staticmethod
+    def recurrence_mean(data, n_static):
+        mu, n = data[:n_static].mean(axis=0), n_static
+        for x in data[n_static:]:
+            mu = (n * mu + x) / (n + 1)
+            n += 1
+        return mu
+
+    def test_static_fit_mean_is_the_batch_mean(self):
+        data = np.random.default_rng(78).standard_normal((500, 4)) * 3.0 + 1e6
+        model = fit_static(data)
+        np.testing.assert_array_equal(model.total, data.sum(axis=0))
+        np.testing.assert_array_equal(model.mu, data.mean(axis=0))
+
+    @pytest.mark.parametrize("case", ["offset 1e12", "criterion 9"])
+    def test_mean_as_accurate_as_the_recurrence(self, case):
+        if case == "offset 1e12":
+            data = np.random.default_rng(0).standard_normal((20_000, 3)) + 1e12
+        else:  # the stream of test_acceptance's criterion 9
+            data = np.random.default_rng(1009).standard_normal((10_000, 3)) * 4.0 - 2.0
+        n_static = 100
+        start = fit_static(data[:n_static])
+        folded = start
+        for x in data[n_static:]:
+            folded = update_online(folded, x)
+        batched = update_many(start, data[n_static:])
+        exact = np.array([math.fsum(col) / len(col) for col in data.T])
+        reference = np.abs(self.recurrence_mean(data, n_static) - exact).max()
+        assert folded.n == batched.n == len(data)
+        for model in (folded, batched):
+            assert np.abs(model.mu - exact).max() <= 2.0 * reference
+        np.testing.assert_array_equal(batched.total, folded.total)
+        np.testing.assert_array_equal(batched.mu, folded.mu)
