@@ -2,8 +2,9 @@
 
 Univariate streams go through the probability-weighted moving-average
 detector in ``pewma``; multivariate streams through the online Gaussian
-model in ``detector``, whose covariance, inverse and log-determinant are
-updated in O(m²) per point with the kernels in ``linalg``. ``harness``
+model in ``detector``, which carries its covariance as a scaled square
+root and that root's inverse, updates both in O(m²) per point, and
+rebuilds them with the QR kernel in ``linalg``. ``harness``
 holds the metric, the experiment protocols, and the synthetic generators;
 ``cli`` exposes everything as the ``driftwatch`` command.
 """

@@ -21,7 +21,7 @@ import numpy as np
 
 from .detector import (
     fit_static,
-    load_model,
+    load_checkpoint,
     save_model,
     score,
     update_online,
@@ -141,13 +141,15 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
         raise InvalidInputError(f"static points must be >= 2, got {config.static_count_points}")
     model = None
     dim = None
+    consumed = 0  # data points read, the checkpoint's count included
     buffer: list[np.ndarray] = []
     if checkpoint is not None and os.path.exists(checkpoint):
-        model = load_model(checkpoint)
+        model, consumed = load_checkpoint(checkpoint)
         dim = model.m
 
     points = _data_lines(lines, header, _parse_vector, err, rejected)
-    for index, (line_no, x) in enumerate(points):
+    for index, (line_no, x) in enumerate(points, start=consumed):
+        consumed = index + 1
         if dim is None:
             dim = len(x)
         elif len(x) != dim:
@@ -168,7 +170,7 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
             model = update_online(model, x)
 
     if checkpoint is not None and model is not None:
-        save_model(model, checkpoint)
+        save_model(model, checkpoint, consumed)
     return EXIT_SKIPPED_LINES if rejected else EXIT_OK
 
 

@@ -1,12 +1,15 @@
 """Multivariate online Gaussian anomaly detection.
 
-A model is fit on an initial batch (mean, covariance, inverse covariance,
-log-determinant), then updated point by point in O(m²): the covariance by
-its rank-one blend, the inverse by the Sherman-Morrison kernel in
-``linalg``, the log-determinant by the matrix determinant lemma, and the
-mean as the running sum of the absorbed points over their count, mean =
-sum / n. The inverse and log-determinant are rebuilt exactly from a
-Cholesky factorization when drift shows or every ``REFACTOR_EVERY``
+A model is fit on an initial batch, then updated point by point in O(m²).
+It carries the covariance as a scale s, a square root A and its inverse
+B, C = s A Aᵀ and C⁻¹ = Bᵀ B / s, so the condition number it works with
+is the square root of C's. One point is two outer products, the
+square-root covariance update of CMA-ES (Igel, Suttorp & Hansen 2006;
+Krause, Arbonès & Igel 2016); the log-determinant follows by the matrix
+determinant lemma, and the mean is the running sum of the absorbed points
+over their count, mean = sum / n. A, B and the log-determinant are
+rebuilt exactly, from one QR by ``linalg.cholesky_factorize``, when drift
+shows, when a point's rank-one term swamps C, or every ``REFACTOR_EVERY``
 updates (a constant, like the starting jitter).
 ``score`` flags a point farther than Mahalanobis distance 3 or, given a
 density threshold tau, one whose log-density falls below log tau; it
@@ -14,8 +17,6 @@ returns the ``Verdict`` that ``pewma`` defines for both detectors.
 ``update_many`` absorbs a whole batch in closed form, for callers that
 never score between updates. Models are values;
 both update functions return a new model and never mutate their argument.
-Public functions validate their input once, on entry; the Sherman-Morrison
-core that ``update_online`` hands its own w = C⁻¹ d and q = dᵀ w trusts it.
 """
 
 from __future__ import annotations
@@ -29,42 +30,51 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInputError
-from .linalg import CovBlend
+from .linalg import FLOAT_EPS, CovBlend
 from .pewma import Verdict, check_tau
 
 LOG_2PI = math.log(2.0 * math.pi)
 DRIFT_LIMIT = 1e-4
 REFACTOR_EVERY = 256
-FLOAT_EPS = float(np.finfo(np.float64).eps)
 LOG_DET_TOL = 1e-6
 MAHALANOBIS_SQ_LIMIT = 9.0
-CHECKPOINT_VERSION = "driftwatch-model 4"
+CHECKPOINT_VERSION = "driftwatch-model 5"
 
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """Gaussian stream model N(mu, C), with C carried as ``cov``.
+    """Gaussian stream model N(mu, C), with C = s A Aᵀ and B = A⁻¹.
 
     ``total`` is the running sum of the ``n`` absorbed points and the mean
     is always derived from it, ``mu = total / n``; the sum is carried, not
     the mean, so one point and a batch of points share one recurrence.
-    ``cov`` includes any jitter a factorization needed (all of it summed in
-    ``jitter_used``). ``cinv`` tracks C⁻¹ and ``log_det`` tracks log |C|.
-    ``blend`` holds the forgetting weights applied per update, and
-    ``updates_since_refactor`` counts rank-one inverse updates since the
-    inverse and log-determinant were last rebuilt exactly.
+    C includes any jitter a factorization needed (all of it summed in
+    ``jitter_used``), and ``log_det`` tracks log |C|. ``blend`` holds the
+    forgetting weights applied per update, and ``updates_since_refactor``
+    counts rank-one updates since A, B and the log-determinant were last
+    rebuilt exactly (which sets s to 1). ``cov`` and ``cinv`` derive C and
+    C⁻¹ on each access, for reading only.
     """
 
     m: int
     n: int
     total: np.ndarray
     mu: np.ndarray
-    cov: np.ndarray
-    cinv: np.ndarray
+    s: float
+    a: np.ndarray
+    b: np.ndarray
     log_det: float
     blend: CovBlend
     updates_since_refactor: int = 0
     jitter_used: float = 0.0
+
+    @property
+    def cov(self) -> np.ndarray:
+        return self.s * (self.a @ self.a.T)
+
+    @property
+    def cinv(self) -> np.ndarray:
+        return (self.b.T @ self.b) / self.s
 
 
 def derive_blend(n_static: int) -> CovBlend:
@@ -79,26 +89,24 @@ def derive_blend(n_static: int) -> CovBlend:
     return CovBlend(alpha=1.0 - c_cov, beta=c_cov)
 
 
-def _factorized(cov):
-    """``(cov, cinv, log_det, lam)`` from one Cholesky factorization of ``cov``.
-
-    ``cov`` is exactly symmetric, as every caller's is; the returned covariance
-    is the matrix that was factorized, ``lam * I`` included, so the inverse and
-    log-determinant are exact for it and a checkpoint of it reloads.
-    """
-    factor, lam = linalg.cholesky_factorize(cov)
-    cov = cov + lam * np.eye(cov.shape[0])
-    return cov, linalg.inverse_from_factor(factor), linalg.log_det_from_factor(factor), lam
+def _factored(n: int, total: np.ndarray, blend: CovBlend, jitter_used: float, rows):
+    """The model of ``n`` points summing to ``total`` whose covariance is
+    ``rowsᵀ rows``, from one QR of the rows; raises InvalidInputError where
+    that fails."""
+    a, b, log_det, lam = linalg.cholesky_factorize(rows)
+    return GaussianModel(total.shape[0], n, total, total / n, 1.0, a, b, log_det, blend, 0,
+                         jitter_used + lam)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge rows overflow the moments; they are refused
 def fit_static(data) -> GaussianModel:
-    """Fit the model on the initial batch: mean, unbiased covariance, inverse.
+    """Fit the model on the initial batch: mean and unbiased covariance.
 
     ``data`` is an (n, m) array (or a sequence of length-m vectors; plain
     1-D input is treated as n scalar samples). Requires n >= m + 1 so the
-    sample covariance has full rank. The inverse and log-determinant come
-    from a Cholesky factor, and the blend weights derive from n.
+    sample covariance has full rank. A, B and the log-determinant come from
+    one QR of the centred rows over sqrt(n - 1), and the blend weights
+    derive from n.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
@@ -112,77 +120,67 @@ def fit_static(data) -> GaussianModel:
         raise InvalidInputError(f"need at least {m + 1} samples for dimension {m}, got {n}")
 
     total = data.sum(axis=0)
-    cov = np.atleast_2d(np.cov(data, rowvar=False, ddof=1))
-    cov, cinv, log_det, lam = _factorized(cov)
-    return GaussianModel(
-        m=m,
-        n=n,
-        total=total,
-        mu=total / n,
-        cov=cov,
-        cinv=cinv,
-        log_det=log_det,
-        blend=derive_blend(n),
-        jitter_used=lam,
-    )
+    return _factored(n, total, derive_blend(n), 0.0, (data - total / n) / math.sqrt(n - 1))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge x overflows q; it is refused
 def update_online(model: GaussianModel, x) -> GaussianModel:
-    """Absorb one point: blend the covariance, update the inverse and mean.
+    """Absorb one point: blend the covariance, update the mean.
 
-    With the residual d = x - mu against the pre-update mean, w = C⁻¹ d and
-    q = dᵀ w, the covariance becomes C' = alpha C + beta d dᵀ, the inverse
-    follows by Sherman-Morrison, and the log-determinant by the matrix
-    determinant lemma, log |C'| = log |C| + m log alpha + log1p((beta/alpha) q).
-    All of it is O(m²).
+    With the residual d = x - mu against the pre-update mean, u = B d,
+    q = uᵀu / s = dᵀ C⁻¹ d and gamma = beta / alpha, the covariance becomes
+    C' = alpha C + beta d dᵀ = s' A' A'ᵀ through two outer products: with
+    r = sqrt(1 + gamma q) and c = (gamma / s) / (r + 1),
+
+        A' = A + c (A u) uᵀ,   B' = B - (c / r) u (uᵀ B),   s' = alpha s,
+
+    and the log-determinant follows by the matrix determinant lemma,
+    log |C'| = log |C| + m log alpha + log1p(gamma q). All of it is O(m²),
+    and nothing divides by q, so x at the mean (q = 0) leaves A and B as
+    they were: C' = alpha C.
 
     Each point is either refused, and the model returned unchanged, or
     blended; there is no third path. It is refused when q is not finite or
-    its rank-one term would swamp C in float64, (beta/alpha) q eps >= 1 with
-    eps the machine epsilon (a huge but finite x), or when the blend is
-    non-finite or cannot be factorized. x at the mean (q = 0) is blended
-    too: C' = alpha C.
-    The inverse and log-determinant are rebuilt exactly when the residual
-    of the pre-update pair along d, ‖C w - d‖∞, exceeds ``DRIFT_LIMIT`` ‖d‖∞,
-    or after ``REFACTOR_EVERY`` rank-one updates.
+    its rank-one term would swamp C in float64, gamma q eps >= 1 with eps
+    the machine epsilon (a huge but finite x), or when its rebuild cannot
+    be factorized. A, B and the log-determinant are rebuilt exactly, from
+    one QR of [sqrt(alpha s) Aᵀ; sqrt(beta) dᵀ], when the residual of the
+    pair along d, ‖A u - d‖∞, exceeds ``DRIFT_LIMIT`` ‖d‖∞, when gamma q eps
+    reaches ``DRIFT_LIMIT``, or after ``REFACTOR_EVERY`` rank-one updates.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.m:
         raise InvalidInputError(f"expected a vector of length {model.m}, got shape {x.shape}")
     d = x - model.mu
     # ndarray.dot makes the same BLAS call as @ at half its overhead on small arrays.
-    w = model.cinv.dot(d)
-    q = float(d.dot(w))
-    blend = model.blend
-    alpha, beta = blend.alpha, blend.beta
-    if not math.isfinite(q) or beta / alpha * q * FLOAT_EPS >= 1.0:
+    u = model.b.dot(d)
+    q = float(u.dot(u)) / model.s
+    alpha, beta = model.blend.alpha, model.blend.beta
+    gamma = beta / alpha
+    swamp = gamma * q * FLOAT_EPS
+    if not math.isfinite(q) or swamp >= 1.0:
         # A non-finite entry makes q non-finite, so only here is x checked.
         if not np.isfinite(x).all():
             raise InvalidInputError("point contains non-finite entries")
         return model
     n = model.n + 1
     total = model.total + x
-    mu = total / n
-    cov = alpha * model.cov + beta * np.multiply.outer(d, d)
-    if not np.isfinite(cov).all():
-        return model
-
+    au = model.a.dot(u)
     updates = model.updates_since_refactor + 1
-    drift_ok = np.abs(model.cov.dot(w) - d).max() <= DRIFT_LIMIT * np.abs(d).max()
-    if updates < REFACTOR_EVERY and drift_ok:
-        # q is finite and, for a positive definite inverse, >= 0 up to rounding,
-        # so the kernel's denominator 1 + (beta/alpha) q is about 1 or more.
-        cinv = linalg._sherman_morrison(model.cinv, w, q, blend)
-        log_det = model.log_det + model.m * math.log(alpha) + math.log1p(beta / alpha * q)
-        return GaussianModel(model.m, n, total, mu, cov, cinv, log_det, blend, updates,
-                             model.jitter_used)
-    try:
-        cov, cinv, log_det, lam = _factorized(cov)
-    except InvalidInputError:  # only an exhausted jitter ladder raises here
+    drift_ok = np.abs(au - d).max() <= DRIFT_LIMIT * np.abs(d).max()
+    if updates < REFACTOR_EVERY and swamp < DRIFT_LIMIT and drift_ok:
+        r = math.sqrt(1.0 + gamma * q)
+        c = gamma / model.s / (r + 1.0)
+        a = model.a + np.multiply.outer(c * au, u)
+        b = model.b - np.multiply.outer(c / r * u, u.dot(model.b))
+        log_det = model.log_det + model.m * math.log(alpha) + math.log1p(gamma * q)
+        return GaussianModel(model.m, n, total, total / n, alpha * model.s, a, b, log_det,
+                             model.blend, updates, model.jitter_used)
+    try:  # rows of the exact d, so a drifted B does not steer the blend
+        return _factored(n, total, model.blend, model.jitter_used,
+                         np.vstack([math.sqrt(alpha * model.s) * model.a.T, math.sqrt(beta) * d]))
+    except InvalidInputError:  # non-finite, or rank-deficient even with jitter
         return model
-    return GaussianModel(model.m, n, total, mu, cov, cinv, log_det, blend, 0,
-                         model.jitter_used + lam)
 
 
 def update_many(model: GaussianModel, xs) -> GaussianModel:
@@ -199,12 +197,12 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
 
         C_K = alpha^K C_0 + sum_r beta alpha^(K-1-r) d_r d_rᵀ,
 
-    formed as one weighted product, then factorized once; the inverse and
-    log-determinant are rebuilt exactly and ``updates_since_refactor`` is 0.
-    Any jitter the factorization needs is added to the covariance and to
-    ``jitter_used``. An empty batch, or one whose rows are all refused,
-    returns the model unchanged. Rows that are non-finite or not of length
-    m raise InvalidInputError, as in ``update_online``.
+    factorized by one QR of sqrt(alpha^K s) Aᵀ stacked on the weighted
+    residual rows; ``updates_since_refactor`` is 0. Any jitter the QR needs
+    is added to the covariance and to ``jitter_used``. An empty batch, or
+    one whose rows are all refused, returns the model unchanged. Rows that
+    are non-finite or not of length m raise InvalidInputError, as in
+    ``update_online``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.m:
@@ -213,8 +211,8 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
         raise InvalidInputError("batch contains non-finite entries")
     alpha, beta = model.blend.alpha, model.blend.beta
     with np.errstate(over="ignore", invalid="ignore"):  # a huge row overflows q; it is refused
-        start = xs - model.mu
-        q = np.einsum("ij,ij->i", start @ model.cinv, start)
+        u = (xs - model.mu) @ model.b.T
+        q = np.einsum("ij,ij->i", u, u) / model.s
         xs = xs[np.isfinite(q) & (beta / alpha * q * FLOAT_EPS < 1.0)]
     k = xs.shape[0]
     if k == 0:
@@ -223,15 +221,13 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     # The starting sum goes first so each prefix is ((t0 + x0) + x1) + ...,
     # the order of update_online's additions; row j is the sum before row j.
     totals = np.cumsum(np.vstack([model.total, xs]), axis=0)
-    means = totals / np.arange(model.n, model.n + k + 1, dtype=np.float64)[:, None]
+    means = totals[:-1] / np.arange(model.n, model.n + k, dtype=np.float64)[:, None]
     # Row r carries weight beta * alpha^(K-1-r); scaling it by the square
-    # root makes the sum one symmetric product.
+    # root makes the sum one product of the stacked rows.
     weights = math.sqrt(beta) * alpha ** (0.5 * np.arange(k - 1, -1, -1.0))
-    resid = (xs - means[:-1]) * weights[:, None]
-    cov, cinv, log_det, lam = _factorized(alpha**k * model.cov + resid.T @ resid)
-    # Copies, so the model does not keep the whole batch's prefix sums alive.
-    return GaussianModel(model.m, model.n + k, totals[-1].copy(), means[-1].copy(), cov, cinv,
-                         log_det, model.blend, 0, model.jitter_used + lam)
+    rows = np.vstack([math.sqrt(alpha**k * model.s) * model.a.T, (xs - means) * weights[:, None]])
+    # A copy, so the model does not keep the whole batch's prefix sums alive.
+    return _factored(model.n + k, totals[-1].copy(), model.blend, model.jitter_used, rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge x scores d² = inf
@@ -239,9 +235,9 @@ def score(model: GaussianModel, x, tau: float | None = None) -> Verdict:
     """Gaussian-density verdict for one vector against the current model.
 
     log density = -(m/2) log 2π - log|C|/2 - d²/2 with the Mahalanobis
-    form d² = (x-mu)ᵀ C⁻¹ (x-mu). Without ``tau`` a point is anomalous when
-    d² > ``MAHALANOBIS_SQ_LIMIT`` (distance 3); with it, when the
-    log-density falls strictly below log tau (tau = 0 flags nothing). Both
+    form d² = (x-mu)ᵀ C⁻¹ (x-mu) = ‖B (x-mu)‖² / s. Without ``tau`` a point
+    is anomalous when d² > ``MAHALANOBIS_SQ_LIMIT`` (distance 3); with it,
+    when the log-density falls strictly below log tau (tau = 0 flags nothing). Both
     comparisons stay in log space, so they do not depend on the scale of
     the data; ``density`` is exp(log density), inf where that overflows.
     A finite point whose d² overflows scores d² = inf; a point with a
@@ -251,13 +247,12 @@ def score(model: GaussianModel, x, tau: float | None = None) -> Verdict:
     if x.ndim != 1 or x.shape[0] != model.m:
         raise InvalidInputError(f"expected a vector of length {model.m}, got shape {x.shape}")
     check_tau(tau)
-    d = x - model.mu
-    maha = float(d.dot(model.cinv).dot(d))
+    u = model.b.dot(x - model.mu)
+    maha = float(u.dot(u)) / model.s
     if not math.isfinite(maha):
         if not np.isfinite(x).all():
             raise InvalidInputError("point contains non-finite entries")
         maha = math.inf  # d² of a finite x overflows to inf, or to NaN as inf - inf
-    maha = max(maha, 0.0)
     log_density = -0.5 * (model.m * LOG_2PI + model.log_det + maha)
     try:
         density = math.exp(log_density)
@@ -273,51 +268,58 @@ def score(model: GaussianModel, x, tau: float | None = None) -> Verdict:
 # --- checkpoint serialization ------------------------------------------------
 #
 # Flat text format: the version line, a header line "m n", a state line
-# "alpha beta log_det updates_since_refactor jitter_used", then the running
-# sum of the absorbed points (the mean is derived, sum / n), then the
-# covariance rows, then the inverse-covariance rows, one line each,
-# entries separated by single spaces with 17 significant digits (lossless
-# for float64). The file holds the whole model, so a resumed stream
-# continues exactly as one that never stopped.
+# "alpha beta log_det updates_since_refactor jitter_used s points", then the
+# running sum of the absorbed points (the mean is derived, sum / n), then
+# the rows of A, then the rows of B, one line each, entries separated by
+# single spaces with 17 significant digits (lossless for float64). The file
+# holds the whole model and the count of data points the stream consumed
+# (refused points included), so a resumed stream continues exactly, and
+# numbers its points, as one that never stopped.
 
 
 def _fmt_row(row) -> str:
     return " ".join(f"{v:.17g}" for v in row)
 
 
-def save_model(model: GaussianModel, dest) -> None:
-    """Write a model checkpoint to a path or text file object."""
+def save_model(model: GaussianModel, dest, points: int | None = None) -> None:
+    """Write a model checkpoint to a path or text file object; ``points`` is
+    the count of data points consumed, ``model.n`` unless given."""
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", encoding="ascii") as handle:
-            save_model(model, handle)
+            save_model(model, handle, points)
         return
     dest.write(CHECKPOINT_VERSION + "\n")
     dest.write(f"{model.m} {model.n}\n")
     dest.write(
         f"{_fmt_row((model.blend.alpha, model.blend.beta, model.log_det))} "
-        f"{model.updates_since_refactor} {model.jitter_used:.17g}\n"
+        f"{model.updates_since_refactor} {_fmt_row((model.jitter_used, model.s))} "
+        f"{model.n if points is None else points}\n"
     )
     dest.write(_fmt_row(model.total) + "\n")
-    for row in model.cov:
-        dest.write(_fmt_row(row) + "\n")
-    for row in model.cinv:
+    for row in (*model.a, *model.b):
         dest.write(_fmt_row(row) + "\n")
 
 
 def load_model(src) -> GaussianModel:
-    """Read a checkpoint written by ``save_model``.
+    """Read the model of a checkpoint written by ``save_model``."""
+    return load_checkpoint(src)[0]
+
+
+def load_checkpoint(src) -> tuple[GaussianModel, int]:
+    """Read a checkpoint written by ``save_model``: the model and the count
+    of data points consumed.
 
     Raises InvalidInputError unless the file starts with the current version
     line, every value is finite, the blend weights are valid, the refactor
-    counter is in [0, ``REFACTOR_EVERY``), the jitter is >= 0, the
-    covariance is symmetric and factorizes without jitter, the inverse is
-    symmetric with a positive diagonal (near-singular models the detector
-    writes may not factorize it), and the stored log-determinant is within
-    ``LOG_DET_TOL`` of that factor's.
+    counter is in [0, ``REFACTOR_EVERY``), the jitter is >= 0, s is > 0, the
+    point count is at least n, A factorizes by QR without jitter,
+    ‖A B - I‖max is at most ``DRIFT_LIMIT``, and the stored log-determinant
+    is within ``LOG_DET_TOL`` + m ‖A B - I‖max of the QR's. That last term
+    covers the rounding of a B that is not exactly A⁻¹.
     """
     if isinstance(src, (str, os.PathLike)):
         with open(src, "r", encoding="ascii", errors="replace") as handle:
-            return load_model(handle)
+            return load_checkpoint(handle)
     lines = [line.strip() for line in src if line.strip()]
     if lines[:1] != [CHECKPOINT_VERSION]:
         raise InvalidInputError(f"checkpoint does not start with {CHECKPOINT_VERSION!r}")
@@ -335,15 +337,15 @@ def load_model(src) -> GaussianModel:
         raise InvalidInputError(f"checkpoint has {len(lines)} lines, expected {expected}")
 
     try:
-        alpha, beta, log_det, updates, jitter_used = lines[2].split()
-        alpha, beta, log_det, jitter_used = map(float, (alpha, beta, log_det, jitter_used))
-        updates = int(updates)
+        alpha, beta, log_det, updates, jitter_used, s, points = lines[2].split()
+        alpha, beta, log_det, jitter_used, s = map(float, (alpha, beta, log_det, jitter_used, s))
+        updates, points = int(updates), int(points)
     except ValueError as exc:
         raise InvalidInputError(f"malformed checkpoint state: {lines[2]!r}") from exc
-    if not all(map(math.isfinite, (alpha, beta, log_det, jitter_used))):
+    if not all(map(math.isfinite, (alpha, beta, log_det, jitter_used, s))):
         raise InvalidInputError(f"non-finite checkpoint state: {lines[2]!r}")
     blend = CovBlend(alpha=alpha, beta=beta)
-    if not 0 <= updates < REFACTOR_EVERY or jitter_used < 0.0:
+    if not 0 <= updates < REFACTOR_EVERY or jitter_used < 0.0 or s <= 0.0 or points < n:
         raise InvalidInputError(f"checkpoint state out of range: {lines[2]!r}")
 
     def parse_row(text, label):
@@ -358,32 +360,22 @@ def load_model(src) -> GaussianModel:
         return row
 
     total = parse_row(lines[3], "sum")
-    cov = np.vstack([parse_row(lines[4 + i], "covariance") for i in range(m)])
-    cinv = np.vstack([parse_row(lines[4 + m + i], "inverse") for i in range(m)])
-    if not np.array_equal(cov, cov.T):
-        raise InvalidInputError("checkpoint covariance is not symmetric")
-    if not np.array_equal(cinv, cinv.T):
-        raise InvalidInputError("checkpoint inverse is not symmetric")
-    if (np.diag(cinv) <= 0.0).any():
-        raise InvalidInputError("checkpoint inverse has a non-positive diagonal entry")
+    a = np.vstack([parse_row(lines[4 + i], "square-root") for i in range(m)])
+    b = np.vstack([parse_row(lines[4 + m + i], "inverse") for i in range(m)])
     try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidInputError("checkpoint covariance does not factorize") from exc
-    if abs(log_det - linalg.log_det_from_factor(factor)) > LOG_DET_TOL:
-        raise InvalidInputError("checkpoint log-determinant does not match its covariance")
-    return GaussianModel(
-        m=m,
-        n=n,
-        total=total,
-        mu=total / n,
-        cov=cov,
-        cinv=cinv,
-        log_det=log_det,
-        blend=blend,
-        updates_since_refactor=updates,
-        jitter_used=jitter_used,
-    )
+        _, _, qr_log_det, lam = linalg.cholesky_factorize(math.sqrt(s) * a.T)
+    except InvalidInputError as exc:
+        raise InvalidInputError("checkpoint square root does not factorize") from exc
+    if lam:
+        raise InvalidInputError("checkpoint square root does not factorize without jitter")
+    residual = float(np.abs(a @ b - np.eye(m)).max())
+    if residual > DRIFT_LIMIT:
+        raise InvalidInputError(f"checkpoint inverse does not invert its square root: "
+                                f"max |A B - I| = {residual:g}")
+    if abs(log_det - qr_log_det) > LOG_DET_TOL + m * residual:
+        raise InvalidInputError("checkpoint log-determinant does not match its square root")
+    return GaussianModel(m, n, total, total / n, s, a, b, log_det, blend, updates,
+                         jitter_used), points
 
 
 def model_to_text(model: GaussianModel) -> str:

@@ -7,8 +7,8 @@ of the rest, and score the blended covariance against the batch covariance
 of everything consumed. The protocols never score points between updates,
 so each online segment is absorbed by one closed-form ``update_many`` call
 rather than point by point; the covariance is the same, and the inverse
-scored by ``aad_inverse`` is the exact inverse of the blended covariance,
-not a Sherman-Morrison-maintained one. ``aad`` is the mean absolute
+scored by ``aad_inverse`` comes from the one QR that factorizes the blended
+covariance, not from rank-one updates. ``aad`` is the mean absolute
 relative deviation over the flattened matrix entries.
 """
 
@@ -36,9 +36,9 @@ CSV_HEADER = "experiment,static_count,aad,points,seed,elapsed_ms,aad_inverse"
 class AadReport:
     """Result of one (protocol, static prefix) run.
 
-    ``aad`` scores the blended covariance; ``aad_inverse`` scores its exact
-    inverse (rebuilt from the factor by ``update_many``) against the inverse
-    of the batch covariance.
+    ``aad`` scores the blended covariance, s A Aᵀ; ``aad_inverse`` scores
+    its inverse, Bᵀ B / s with B = A⁻¹ from ``update_many``'s QR, against
+    the inverse of the batch covariance.
     ``elapsed`` is wall-clock seconds for the fit + online phase only; the
     batch truth and the scoring are not timed.
     """

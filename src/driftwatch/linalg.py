@@ -1,11 +1,14 @@
 """Dense numerical kernels for streaming covariance maintenance.
 
-Cholesky factorization with jitter escalation, forward substitution,
-rank-one updates of a lower-triangular factor, Sherman-Morrison inverse
-updates, and the exact inverse and log-determinant from a factor. All
-functions are pure: they take plain float64 numpy arrays (matrices
-``(m, m)``, vectors ``(m,)``) and return fresh arrays, so values can be
-shared across threads freely.
+``cholesky_factorize`` is the one factorization the detector runs: the
+Cholesky factor of a Gram matrix from one QR of its rows, with one jitter
+step for rank-deficient rows, and the factor's inverse and
+log-determinant. Forward substitution, rank-one updates of a
+lower-triangular factor, Sherman-Morrison inverse updates, and the exact
+inverse and log-determinant from a factor are public kernels beside it.
+All functions are pure: they take plain float64 numpy arrays (rows
+``(k, m)``, matrices ``(m, m)``, vectors ``(m,)``) and return fresh
+arrays, so values can be shared across threads freely.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ import numpy as np
 from .errors import InvalidInputError
 
 DEFAULT_JITTER = 1e-10
-MAX_JITTER_DOUBLINGS = 40
 DEGENERATE_NORM_SQ = 1e-30
 SINGULAR_DENOMINATOR = 1e-12
-SYMMETRY_TOL = 1e-9
+FLOAT_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -56,36 +58,37 @@ def _as_vector(b, dim: int, name: str) -> np.ndarray:
     return b
 
 
-def cholesky_factorize(c) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of a symmetric matrix, with jitter escalation.
+def cholesky_factorize(rows) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Lower Cholesky factor of the Gram matrix ``C = rowsᵀ rows``, from one QR
+    of the rows, so C itself is never formed.
 
-    Returns ``(factor, lam)`` where ``factor @ factor.T == c + lam * I``.
-    ``lam`` is 0 when ``c`` factorizes directly; otherwise the smallest
-    ``DEFAULT_JITTER * 2**k`` (k = 0, 1, 2, ...) that makes factorization
-    succeed.
+    Returns ``(a, b, log_det, lam)``: ``a`` is lower-triangular with a positive
+    diagonal and ``a @ a.T == C + lam * I``, ``b`` is ``a⁻¹`` and ``log_det``
+    is ``log |C + lam I| = 2 Σ log aᵢᵢ``. ``rows`` is a (k, m) array. A
+    diagonal entry of R at or below ``max(k, m) * eps * max |Rⱼⱼ|`` (numpy's
+    ``matrix_rank`` tolerance) counts as rank-deficient; ``lam`` is 0 unless
+    that happens, when the QR is taken once more with ``sqrt(DEFAULT_JITTER) * I``
+    stacked under the rows and ``lam`` is ``DEFAULT_JITTER``.
 
-    Raises InvalidInputError for non-square, non-finite, or asymmetric
-    input, and once the escalation ladder is exhausted after
-    ``MAX_JITTER_DOUBLINGS`` doublings.
+    Raises InvalidInputError for input that is not 2-D or not finite, and
+    when the rows are still rank-deficient with the jitter.
     """
-    c = _as_square_matrix(c, "covariance")
-    if not np.isfinite(c).all():
-        raise InvalidInputError("covariance contains non-finite entries")
-    scale = max(1.0, float(np.abs(c).max())) if c.size else 1.0
-    if c.size and float(np.abs(c - c.T).max()) > SYMMETRY_TOL * scale:
-        raise InvalidInputError("covariance is not symmetric")
-    c = 0.5 * (c + c.T)
-
-    eye = np.eye(c.shape[0])
-    ladder = [0.0] + [DEFAULT_JITTER * 2.0**k for k in range(MAX_JITTER_DOUBLINGS + 1)]
-    for lam in ladder:
-        try:
-            return np.linalg.cholesky(c + lam * eye), lam
-        except np.linalg.LinAlgError:
-            continue
-    raise InvalidInputError(
-        f"factorization failed after {MAX_JITTER_DOUBLINGS} jitter doublings (last lam={ladder[-1]:g})"
-    )
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise InvalidInputError(f"rows must be a 2-D array, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise InvalidInputError("rows contain non-finite entries")
+    m = rows.shape[1]
+    for lam in (0.0, DEFAULT_JITTER):
+        if lam:
+            rows = np.vstack([rows, math.sqrt(lam) * np.eye(m)])
+        r = np.linalg.qr(rows, mode="r")
+        diag = np.abs(np.diag(r))
+        if diag.size == m and diag.min() > max(rows.shape) * FLOAT_EPS * diag.max():
+            # C order, as a checkpoint reloads it: BLAS sums in memory order.
+            a = np.ascontiguousarray((r * np.sign(np.diag(r))[:, None]).T)
+            return a, np.linalg.inv(a), log_det_from_factor(a), lam
+    raise InvalidInputError(f"rows are rank-deficient even with jitter {DEFAULT_JITTER:g}")
 
 
 def tri_solve_lower(a, b) -> np.ndarray:
@@ -140,26 +143,18 @@ def sherman_morrison_update(cinv, v, blend: CovBlend) -> np.ndarray:
 
         (1/alpha) * (C⁻¹ - (beta/alpha) * C⁻¹ v vᵀ C⁻¹ / (1 + (beta/alpha) vᵀ C⁻¹ v))
 
-    A rank-one update by w wᵀ maps an exactly symmetric ``cinv`` to an
-    exactly symmetric result, so this wrapper symmetrizes its input once and
-    the core ``_sherman_morrison`` never has to. Validates its inputs, and
-    raises InvalidInputError when the denominator falls to 1e-12 or below.
+    on the symmetrized input, so an exactly symmetric result follows. Raises
+    InvalidInputError when the denominator falls to 1e-12 or below.
     """
     cinv = _as_square_matrix(cinv, "inverse covariance")
     cinv = 0.5 * (cinv + cinv.T)
     v = _as_vector(v, cinv.shape[0], "direction")
     w = cinv.dot(v)
-    q = float(v.dot(w))
-    denom = 1.0 + blend.beta / blend.alpha * q
+    gamma = blend.beta / blend.alpha
+    denom = 1.0 + gamma * float(v.dot(w))
     if not math.isfinite(denom) or denom <= SINGULAR_DENOMINATOR:
         raise InvalidInputError(f"rank-one denominator {denom:g} is not safely positive")
-    return _sherman_morrison(cinv, w, q, blend)
-
-
-def _sherman_morrison(cinv: np.ndarray, w: np.ndarray, q: float, blend: CovBlend) -> np.ndarray:
-    """The identity above from w = C⁻¹ v and q = vᵀ w; trusts the caller."""
-    gamma = blend.beta / blend.alpha
-    return (cinv - np.multiply.outer(w, w) * (gamma / (1.0 + gamma * q))) / blend.alpha
+    return (cinv - np.multiply.outer(w, w) * (gamma / denom)) / blend.alpha
 
 
 def _checked_factor(a) -> np.ndarray:
@@ -177,9 +172,7 @@ def log_det_from_factor(a) -> float:
 def inverse_from_factor(a) -> np.ndarray:
     """``(A Aᵀ)⁻¹`` from a lower-triangular factor, via triangular inversion.
 
-    Inverts ``A``, then forms ``A⁻ᵀ A⁻¹``; the result is symmetrized. This
-    is the exact rebuild used to clear accumulated drift in a maintained
-    inverse.
+    Inverts ``A``, then forms ``A⁻ᵀ A⁻¹``; the result is symmetrized.
     """
     w = np.linalg.inv(np.tril(_checked_factor(a)))
     out = w.T @ w

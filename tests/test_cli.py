@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from driftwatch.cli import DetectorConfig, detect, main, run_detect
-from driftwatch.detector import fit_static, load_model, score, update_online
+from driftwatch.detector import fit_static, load_checkpoint, load_model, score, update_online
 from driftwatch.errors import InvalidInputError
 from driftwatch.pewma import INV_SQRT_2PI, PewmaParams, pewma_init, pewma_step
 from driftwatch.harness import gen_random_stream, gen_shift_stream, ShiftSpec, run_experiment_1
@@ -237,13 +237,13 @@ class TestDetectMultivariate:
         assert load_model(ckpt).n == 250
 
         # The resumed verdicts equal those of one uninterrupted run, byte for
-        # byte after the index field (each run numbers its own input lines).
+        # byte, index included: the checkpoint carries the count of points read.
         whole = runner.invoke(
             main, ["detect", "--mode", "multivariate", "--static-points", "200"],
             input=first + second,
         )
-        after_index = lambda rows: [row.split(",", 1)[1] for row in rows]
-        assert after_index(resumed) == after_index(whole.stdout.splitlines()[-30:])
+        assert resumed == whole.stdout.splitlines()[-30:]
+        assert resumed[0].startswith("220,")
 
     def test_malformed_and_non_finite_lines_skipped(self, runner):
         lines = self.stream_text(130, 3, seed=9).splitlines()
@@ -297,8 +297,8 @@ class TestDetectMultivariate:
         assert len(list(lines)) == 150
 
     def test_singular_static_fit_is_fatal(self, runner):
-        # Three equal columns at scale 1e20: the absolute jitter ladder stops
-        # near 110, so the rank-one covariance never factorizes.
+        # Three equal columns at scale 1e20: the absolute jitter of 1e-10 is far
+        # below the QR's rank tolerance, so the rank-one covariance never factorizes.
         column = np.random.default_rng(11).normal(0.0, 1e20, 100)
         text = "".join(f"{v:.17g},{v:.17g},{v:.17g}\n" for v in column)
         result = runner.invoke(main, ["detect", "--mode", "multivariate"], input=text)
@@ -308,7 +308,7 @@ class TestDetectMultivariate:
 
     def test_non_ascii_checkpoint_is_usage_error(self, runner, tmp_path):
         ckpt = tmp_path / "model.ckpt"
-        ckpt.write_bytes(b"\xef\xbb\xbfdriftwatch-model 4\n")  # a byte-order mark first
+        ckpt.write_bytes(b"\xef\xbb\xbfdriftwatch-model 5\n")  # a byte-order mark first
         result = runner.invoke(main, ["detect", "--mode", "multivariate", "--checkpoint",
                                       str(ckpt)], input=self.stream_text(110, 2, seed=12))
         assert result.exit_code == 2
@@ -369,6 +369,7 @@ class TestDetectMultivariate:
         assert len(verdicts) == 30
         assert verdicts[10].startswith("110,") and verdicts[10].endswith(",true")
         assert load_model(ckpt).n == 129
+        assert load_checkpoint(ckpt)[1] == 130  # the refused point was read too
         without = runner.invoke(main, args, input="\n".join(lines) + "\n").stdout.splitlines()
         log_score = lambda row: row.split(",")[-2]
         assert [log_score(r) for r in verdicts[11:]] == [log_score(r) for r in without[10:]]

@@ -1,15 +1,17 @@
 import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from driftwatch.detector import (
+    DRIFT_LIMIT,
     REFACTOR_EVERY,
     GaussianModel,
     derive_blend,
     fit_static,
+    load_checkpoint,
     load_model,
     model_to_text,
     save_model,
@@ -18,7 +20,7 @@ from driftwatch.detector import (
     update_online,
 )
 from driftwatch.errors import InvalidInputError
-from driftwatch.linalg import CovBlend, sherman_morrison_update
+from driftwatch.linalg import FLOAT_EPS, CovBlend
 from driftwatch.pewma import PewmaParams, PewmaState, pewma_step
 
 
@@ -122,8 +124,9 @@ class TestUpdateOnline:
             n=10,
             total=np.zeros(2),
             mu=np.zeros(2),
-            cov=np.eye(2),
-            cinv=np.eye(2),
+            s=1.0,
+            a=np.eye(2),
+            b=np.eye(2),
             log_det=0.0,
             blend=CovBlend(0.8, 0.2),
         )
@@ -161,9 +164,15 @@ class TestUpdateOnline:
         model = fitted_model(rng, n=50, dim=4)
         model = update_online(model, rng.standard_normal(4))
         assert model.updates_since_refactor == 1
-        updated = update_online(replace(model, cinv=model.cinv * 1.01), rng.standard_normal(4))
+        drifted = replace(model, b=model.b * 1.01)
+        x = rng.standard_normal(4)
+        updated = update_online(drifted, x)
         assert updated.updates_since_refactor == 0
         np.testing.assert_allclose(updated.cinv @ updated.cov, np.eye(4), atol=1e-9)
+        # The rebuild blends the true residual, not the drifted pair's A B d.
+        d = x - model.mu
+        expected = model.blend.alpha * model.cov + model.blend.beta * np.outer(d, d)
+        assert rel_err(updated.cov, expected) < 1e-12
 
     @pytest.mark.parametrize(
         "value,updates_to_rebuild",
@@ -178,13 +187,14 @@ class TestUpdateOnline:
         assert update_online(model, np.full(3, value)) is model
 
     def test_rebuild_that_cannot_factorize_is_refused(self):
-        # The blend is finite, but at scale 1e40 the absolute jitter ladder
-        # stops near 110, far too small to make the rank-one blend of two
-        # equal columns positive definite, so the periodic rebuild fails.
+        # C = 1e40 * ones((2, 2)) has rank one. The blend with a point along
+        # its column keeps rank one, and at that scale the absolute jitter of
+        # 1e-10 is far below the QR's rank tolerance, so the periodic rebuild
+        # fails.
         model = GaussianModel(
-            m=2, n=100, total=np.zeros(2), mu=np.zeros(2), cov=1e40 * np.ones((2, 2)),
-            cinv=np.eye(2) / 1e40, log_det=0.0, blend=derive_blend(100),
-            updates_since_refactor=REFACTOR_EVERY - 1,
+            m=2, n=100, total=np.zeros(2), mu=np.zeros(2), s=1.0,
+            a=1e20 * np.array([[1.0, 0.0], [1.0, 0.0]]), b=np.eye(2) / 1e20, log_det=0.0,
+            blend=derive_blend(100), updates_since_refactor=REFACTOR_EVERY - 1,
         )
         assert update_online(model, np.array([1e20, 1e20])) is model
 
@@ -195,33 +205,19 @@ class TestUpdateOnline:
             with pytest.raises(InvalidInputError):
                 update_online(model, np.array([0.0, value, 0.0]))
 
-    def test_blend_that_overflows_is_refused(self):
+    def test_huge_residual_blends_without_overflow(self):
         # At scale 1e150, q is about 3e10 for a residual of 1e155 per entry,
-        # far below the swamping bound, but d dᵀ overflows; 1e153 fits.
+        # far below the swamping bound. d dᵀ would overflow, but the model
+        # never forms it: A, B and the next score stay finite. At 1e160 the
+        # rank-one term swamps C and the point is refused.
         rng = np.random.default_rng(17)
         model = fit_static(rng.standard_normal((100, 3)) * 1e150)
-        assert update_online(model, model.mu + 1e155) is model
-        updated = update_online(model, model.mu + 1e153)
-        assert updated.n == model.n + 1
-        assert np.isfinite(updated.cov).all()
-        assert not np.array_equal(updated.cov, model.cov)
-
-    @pytest.mark.parametrize("dim", [2, 15, 50])
-    def test_inverse_is_the_public_kernel(self, dim):
-        # Without a rebuild, the inverse is the public Sherman-Morrison
-        # kernel's, bit for bit: both run the same core.
-        rng = np.random.default_rng(18)
-        model = fitted_model(rng, n=2 * dim + 10, dim=dim)
-        checked = 0
-        for _ in range(300):
-            x = rng.standard_normal(dim) * 2.0
-            updated = update_online(model, x)
-            if updated.updates_since_refactor == model.updates_since_refactor + 1:
-                expected = sherman_morrison_update(model.cinv, x - model.mu, model.blend)
-                np.testing.assert_array_equal(updated.cinv, expected)
-                checked += 1
-            model = updated
-        assert checked >= 290
+        assert update_online(model, model.mu + 1e160) is model
+        updated = update_online(model, model.mu + 1e155)
+        assert updated.n == model.n + 1 and updated.updates_since_refactor == 1
+        assert np.isfinite(updated.a).all() and np.isfinite(updated.b).all()
+        assert not np.array_equal(updated.a, model.a)
+        assert math.isfinite(score(updated, rng.standard_normal(3) * 1e150).mahalanobis_sq)
 
     def test_does_not_mutate_argument(self):
         rng = np.random.default_rng(19)
@@ -229,9 +225,9 @@ class TestUpdateOnline:
         model = replace(model, updates_since_refactor=REFACTOR_EVERY - 2)
         counters = []
         for x in (model.mu.copy(), *rng.standard_normal((3, 4))):  # blend, rebuild, blend, blend
-            before = [a.copy() for a in (model.mu, model.cov, model.cinv)]
+            before = [a.copy() for a in (model.total, model.mu, model.a, model.b)]
             updated = update_online(model, x)
-            for a, b in zip((model.mu, model.cov, model.cinv), before):
+            for a, b in zip((model.total, model.mu, model.a, model.b), before):
                 np.testing.assert_array_equal(a, b)
             counters.append(updated.updates_since_refactor)
             model = updated
@@ -503,8 +499,9 @@ class TestCheckpoint:
         loaded = load_model(io.StringIO(text))
         assert model_to_text(loaded) == text
         np.testing.assert_array_equal(loaded.mu, model.mu)
-        np.testing.assert_array_equal(loaded.cov, model.cov)
-        np.testing.assert_array_equal(loaded.cinv, model.cinv)
+        np.testing.assert_array_equal(loaded.a, model.a)
+        np.testing.assert_array_equal(loaded.b, model.b)
+        assert loaded.s == model.s
         assert loaded.m == model.m and loaded.n == model.n
         assert loaded.log_det == pytest.approx(model.log_det, rel=1e-12)
 
@@ -528,9 +525,12 @@ class TestCheckpoint:
         rng = np.random.default_rng(73)
         model = fitted_model(rng, n=50, dim=2)
         path = tmp_path / "model.ckpt"
-        save_model(model, path)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.cov, model.cov)
+        save_model(model, path, points=57)
+        loaded, points = load_checkpoint(path)
+        assert points == 57
+        np.testing.assert_array_equal(loaded.a, model.a)
+        np.testing.assert_array_equal(loaded.b, model.b)
+        assert load_checkpoint(io.StringIO(model_to_text(model)))[1] == model.n
 
     def test_truncated_checkpoint_rejected(self):
         rng = np.random.default_rng(74)
@@ -543,8 +543,8 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError):
             load_model(io.StringIO("not a header\n"))
 
-    # Line layout: version, "m n", state, sum, then the covariance rows.
-    STATE_ROW, SUM_ROW, FIRST_COV_ROW = 2, 3, 4
+    # Line layout: version, "m n", state, sum, then the rows of A, then of B.
+    STATE_ROW, SUM_ROW, FIRST_ROOT_ROW = 2, 3, 4
 
     @staticmethod
     def corrupt_lines(edit):
@@ -575,8 +575,8 @@ class TestCheckpoint:
             load_model(text)
 
     def test_non_number_in_a_row_rejected(self):
-        text = self.corrupt_lines(lambda lines: self.set_entry(lines, self.FIRST_COV_ROW, 0, "abc"))
-        with pytest.raises(InvalidInputError, match="malformed covariance row"):
+        text = self.corrupt_lines(lambda lines: self.set_entry(lines, self.FIRST_ROOT_ROW, 0, "abc"))
+        with pytest.raises(InvalidInputError, match="malformed square-root row"):
             load_model(text)
 
     def test_row_of_the_wrong_length_rejected(self):
@@ -589,8 +589,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "row,match",
         # A byte-order mark before the version line, or a non-ASCII character
-        # in a covariance entry.
-        [(0, "does not start with"), (FIRST_COV_ROW, "malformed covariance row")],
+        # in an entry of A.
+        [(0, "does not start with"), (FIRST_ROOT_ROW, "malformed square-root row")],
     )
     def test_non_ascii_file_rejected(self, tmp_path, row, match):
         path = tmp_path / "model.ckpt"
@@ -604,50 +604,45 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError, match="non-finite"):
             load_model(text)
 
-    def test_asymmetric_covariance_rejected(self):
-        text = self.corrupt_lines(lambda lines: self.set_entry(lines, self.FIRST_COV_ROW, 1, "0.123"))
-        with pytest.raises(InvalidInputError, match="not symmetric"):
-            load_model(text)
-
     def test_covariance_needing_jitter_rejected(self):
-        def negate_diagonal(lines):
-            for i in range(3):
-                self.set_entry(lines, self.FIRST_COV_ROW + i, i, "-1")
+        # Two equal rows of A make C singular: its QR needs the jitter step.
+        def repeat_row(lines):
+            lines[self.FIRST_ROOT_ROW + 1] = lines[self.FIRST_ROOT_ROW]
 
         with pytest.raises(InvalidInputError, match="does not factorize"):
-            load_model(self.corrupt_lines(negate_diagonal))
+            load_model(self.corrupt_lines(repeat_row))
 
     def test_negated_inverse_rejected(self):
-        # Every dᵀC⁻¹d would be negative, so every d² would clamp to 0 and no
-        # later point would be flagged, while each blend corrupted the model.
+        # Every d² = ‖B d‖² / s would be unchanged, but each blend would move
+        # B away from A⁻¹ and corrupt the model.
         def negate_inverse(lines):
             for i in range(1, 4):
                 lines[-i] = " ".join(repr(-float(tok)) for tok in lines[-i].split())
 
-        with pytest.raises(InvalidInputError, match="non-positive diagonal"):
+        with pytest.raises(InvalidInputError, match="does not invert"):
             load_model(self.corrupt_lines(negate_inverse))
 
-    def test_asymmetric_inverse_rejected(self):
+    def test_inverse_off_its_square_root_rejected(self):
         text = self.corrupt_lines(lambda lines: self.set_entry(lines, -3, 1, "0.123"))
-        with pytest.raises(InvalidInputError, match="inverse is not symmetric"):
+        with pytest.raises(InvalidInputError, match="does not invert its square root"):
             load_model(text)
 
     def test_missing_version_line_rejected(self):
         # A checkpoint without the version line, such as the older format of
-        # factor rows, must never be read as a covariance.
-        with pytest.raises(InvalidInputError, match="driftwatch-model 4"):
+        # factor rows, must never be read as a model.
+        with pytest.raises(InvalidInputError, match="driftwatch-model 5"):
             load_model(self.corrupt_lines(lambda lines: lines.pop(0)))
 
     def test_version_3_rejected(self):
-        # Version 3 stored the mean where version 4 stores the sum; read as
-        # a sum, that row would put the mean off by a factor of n.
+        # Version 3 stored the mean where later versions store the sum; read
+        # as a sum, that row would put the mean off by a factor of n.
         def as_version_3(lines):
             n = int(lines[1].split()[1])
             lines[0] = "driftwatch-model 3"
             mean = [float(v) / n for v in lines[self.SUM_ROW].split()]
             lines[self.SUM_ROW] = " ".join(f"{v:.17g}" for v in mean)
 
-        with pytest.raises(InvalidInputError, match="driftwatch-model 4"):
+        with pytest.raises(InvalidInputError, match="driftwatch-model 5"):
             load_model(self.corrupt_lines(as_version_3))
 
     def test_round_trip_after_fold_and_batch(self):
@@ -664,12 +659,13 @@ class TestCheckpoint:
     def test_unknown_version_rejected(self):
         # Version 2 lacks the state line, so it cannot resume exactly.
         text = self.corrupt_lines(lambda lines: lines.__setitem__(0, "driftwatch-model 2"))
-        with pytest.raises(InvalidInputError, match="driftwatch-model 4"):
+        with pytest.raises(InvalidInputError, match="driftwatch-model 5"):
             load_model(text)
 
     @pytest.mark.parametrize(
         "col,value,match",
-        # State columns: alpha, beta, log_det, updates_since_refactor, jitter_used.
+        # State columns: alpha, beta, log_det, updates_since_refactor,
+        # jitter_used, s, points; the model holds n = 50 points.
         [
             (2, "nan", "non-finite"),
             (4, "inf", "non-finite"),
@@ -680,6 +676,11 @@ class TestCheckpoint:
             (3, "1.5", "malformed"),
             (4, "-1e-12", "out of range"),
             (2, "12.5", "log-determinant"),
+            (5, "inf", "non-finite"),
+            (5, "0", "out of range"),
+            (5, "2", "log-determinant"),
+            (6, "49", "out of range"),
+            (6, "50.5", "malformed"),
         ],
     )
     def test_bad_state_rejected(self, col, value, match):
@@ -693,6 +694,11 @@ class TestCheckpoint:
 
         with pytest.raises(InvalidInputError, match="malformed checkpoint state"):
             load_model(self.corrupt_lines(drop_last))
+
+
+def same_model(one, other):
+    """Every field bit-equal, arrays included."""
+    return all(np.array_equal(getattr(one, f.name), getattr(other, f.name)) for f in fields(one))
 
 
 def awkward_stream(kind, n, m, seed):
@@ -715,9 +721,8 @@ def awkward_stream(kind, n, m, seed):
 
 
 class TestExactSymmetry:
-    """cov and cinv stay exactly symmetric on every path that builds a
-    model; ``_sherman_morrison`` relies on it, and ``load_model`` refuses
-    a checkpoint whose matrices are not."""
+    """The derived cov and cinv, which the harness and the criteria read,
+    are exactly symmetric on every path that builds a model."""
 
     KINDS = ("iid", "rotated-scales", "collinear", "heavy-tail", "offset", "spikes")
 
@@ -735,10 +740,18 @@ class TestExactSymmetry:
             model = fit_static(static)
             self.assert_symmetric(model)
             self.assert_symmetric(load_model(io.StringIO(model_to_text(model))))
+            gamma = model.blend.beta / model.blend.alpha
             for i, x in enumerate(online):
-                new = update_online(model, model.mu.copy() if i == 5 else x)
                 if i == 5:  # x at the mean takes the blend too: C' = alpha C
-                    assert np.array_equal(new.cov, model.blend.alpha * model.cov)
+                    x = model.mu.copy()
+                elif i == 7:  # B off A⁻¹ by 1e-3: a drift rebuild
+                    model = replace(model, b=model.b * (1.0 + 1e-3))
+                elif i == 9:  # gamma q eps = 1e-2 along A's first column: a swamp rebuild
+                    x = model.mu + math.sqrt(model.s * 1e-2 / (gamma * FLOAT_EPS)) * model.a[:, 0]
+                new = update_online(model, x)
+                if i == 5:
+                    assert np.array_equal(new.a, model.a) and np.array_equal(new.b, model.b)
+                    assert new.s == model.blend.alpha * model.s
                 if new is model:
                     paths.add("refused")
                 elif new.updates_since_refactor:
@@ -746,13 +759,16 @@ class TestExactSymmetry:
                 elif model.updates_since_refactor == REFACTOR_EVERY - 1:
                     paths.add("periodic rebuild")
                 else:
-                    paths.add("drift rebuild")
+                    d = x - model.mu
+                    swamp = gamma * float(d @ model.cinv @ d) * FLOAT_EPS >= DRIFT_LIMIT
+                    paths.add("swamp rebuild" if swamp else "drift rebuild")
                 self.assert_symmetric(new)
                 model = new
             batch = update_many(fit_static(static), online)
             self.assert_symmetric(batch)
             self.assert_symmetric(load_model(io.StringIO(model_to_text(batch))))
-        assert paths == {"refused", "rank-one", "periodic rebuild", "drift rebuild"}
+        assert paths == {"refused", "rank-one", "periodic rebuild", "drift rebuild",
+                         "swamp rebuild"}
 
 
 class TestAdmission:
@@ -770,7 +786,7 @@ class TestAdmission:
                 new = update_online(folded, x)
                 # Refused leaves the whole model, mean included, as it was;
                 # admitted takes the blend, never the mean and count alone.
-                assert new is folded or (new.n == folded.n + 1 and new.cov is not folded.cov), kind
+                assert new is folded or (new.n == folded.n + 1 and new.a is not folded.a), kind
                 folded = new
             batched = update_many(model, online)
             assert batched.n == folded.n, kind
@@ -815,3 +831,86 @@ class TestRunningSum:
             assert np.abs(model.mu - exact).max() <= 2.0 * reference
         np.testing.assert_array_equal(batched.total, folded.total)
         np.testing.assert_array_equal(batched.mu, folded.mu)
+
+
+class TestIllConditionedStreams:
+    """Streams that are finite but hard on the model: columns scaled from
+    1e-6 to 1e6 and rotated, columns collinear to 1e-8, heavy tails, a
+    1e12 offset and huge spikes. Carrying C and C⁻¹ squared their condition
+    number: every update on rotated scales was an early O(m³) rebuild, and
+    ``load_model`` refused most checkpoints of collinear streams."""
+
+    @staticmethod
+    def stream(kind, m, updates):
+        static = 2 * m if kind == "spikes" else 100
+        data = awkward_stream(kind, static + updates, m, seed=1)
+        return data[:static], data[static:]
+
+    @pytest.mark.parametrize("m", [3, 15, 50])
+    def test_no_early_rebuild_and_every_checkpoint_resumes(self, m):
+        for kind in TestExactSymmetry.KINDS:
+            static, online = self.stream(kind, m, 600)
+            model = fit_static(static)
+            for i, x in enumerate(online):
+                new = update_online(model, x)
+                if new is not model and new.updates_since_refactor == 0:
+                    assert model.updates_since_refactor == REFACTOR_EVERY - 1, (kind, i)
+                if i % 60 == 0:  # a sample of the models, to keep the sweep short
+                    loaded = load_model(io.StringIO(model_to_text(model)))
+                    assert same_model(loaded, model), (kind, i)
+                    assert score(loaded, x) == score(model, x), (kind, i)
+                    assert same_model(update_online(loaded, x), new), (kind, i)
+                model = new
+
+    @pytest.mark.parametrize("m", [3, 15])
+    @pytest.mark.parametrize("kind,bound", [("iid", 1e-12), ("rotated-scales", 1e-3),
+                                            ("collinear", 1e-3)])
+    def test_mahalanobis_matches_an_exact_replay(self, kind, bound, m):
+        # The blend recurrence replayed at 60 digits from the same float64
+        # rows and weights, then d² of 20 held-out rows by an exact solve.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        static, online = self.stream(kind, m, 220)
+        online, held = online[:200], online[200:]
+        model = fit_static(static)
+        for x in online:
+            model = update_online(model, x)
+        assert model.n == len(static) + len(online)
+
+        to_mp = lambda rows: [[mp.mpf(float(v)) for v in row] for row in rows]
+        rows = to_mp(static)
+        n = len(rows)
+        total = [mp.fsum(col) for col in zip(*rows)]
+        mu = [t / n for t in total]
+        c = [[mp.fsum((row[i] - mu[i]) * (row[j] - mu[j]) for row in rows) / (n - 1)
+              for j in range(m)] for i in range(m)]
+        alpha, beta = mp.mpf(model.blend.alpha), mp.mpf(model.blend.beta)
+        for row in to_mp(online):
+            d = [v - u for v, u in zip(row, mu)]
+            c = [[alpha * cij + beta * di * dj for cij, dj in zip(ci, d)] for ci, di in zip(c, d)]
+            n += 1
+            total = [t + v for t, v in zip(total, row)]
+            mu = [t / n for t in total]
+        cinv = mp.inverse(mp.matrix(c)).tolist()
+        for x, row in zip(held, to_mp(held)):
+            d = [v - u for v, u in zip(row, mu)]
+            exact = mp.fsum(di * mp.fsum(cij * dj for cij, dj in zip(ci, d))
+                            for ci, di in zip(cinv, d))
+            got = score(model, x).mahalanobis_sq
+            assert abs(got - exact) <= bound * exact, (kind, m, float(exact))
+
+    def test_per_point_work_calls_no_cubic_kernel(self, monkeypatch):
+        # Between periodic rebuilds, score and update_online are O(m²): no
+        # factorization, inverse, solve or determinant runs.
+        rng = np.random.default_rng(79)
+        model = fitted_model(rng, n=200, dim=50)
+
+        def cubic(*args, **kwargs):
+            raise AssertionError("an O(m³) kernel ran")
+
+        for name in ("qr", "inv", "cholesky", "solve", "slogdet"):
+            monkeypatch.setattr(np.linalg, name, cubic)
+        for x in rng.standard_normal((REFACTOR_EVERY - 1, 50)):
+            score(model, x)
+            model = update_online(model, x)
+        assert model.updates_since_refactor == REFACTOR_EVERY - 1

@@ -21,54 +21,63 @@ def random_spd(rng, dim, ridge=0.5):
 
 
 class TestCholeskyFactorize:
+    """The kernel takes rows whose Gram matrix rowsᵀ rows is C."""
+
     def test_identity_factors_directly(self):
-        factor, lam = cholesky_factorize(np.eye(3))
-        np.testing.assert_allclose(factor, np.eye(3))
-        assert lam == 0.0
+        a, b, log_det, lam = cholesky_factorize(np.eye(3))
+        np.testing.assert_array_equal(a, np.eye(3))
+        np.testing.assert_array_equal(b, np.eye(3))
+        assert log_det == 0.0 and lam == 0.0
 
     def test_hand_expanded_two_by_two(self):
+        # Rows [[2, 1], [0, sqrt 2]] have the Gram matrix [[4, 2], [2, 3]].
         c = np.array([[4.0, 2.0], [2.0, 3.0]])
-        factor, lam = cholesky_factorize(c)
+        a, b, log_det, lam = cholesky_factorize(np.array([[2.0, 1.0], [0.0, math.sqrt(2.0)]]))
         expected = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
-        np.testing.assert_allclose(factor, expected, rtol=1e-12)
-        np.testing.assert_allclose(factor @ factor.T, c, rtol=1e-12)
+        np.testing.assert_allclose(a, expected, rtol=1e-12)
+        np.testing.assert_allclose(a @ a.T, c, rtol=1e-12)
+        np.testing.assert_allclose(b, np.linalg.inv(expected), rtol=1e-12)
+        assert log_det == pytest.approx(math.log(8.0), rel=1e-12)
         assert lam == 0.0
 
     def test_zero_matrix_takes_smallest_ladder_step(self):
-        jitter = 1e-10
-        # Oracle: walk the ladder directly until numpy's cholesky succeeds.
-        expected_lam = None
-        for k in range(41):
-            lam = jitter * 2.0**k
-            try:
-                np.linalg.cholesky(lam * np.eye(2))
-                expected_lam = lam
-                break
-            except np.linalg.LinAlgError:
-                continue
-        factor, lam = cholesky_factorize(np.zeros((2, 2)))
-        assert lam == expected_lam
-        np.testing.assert_allclose(factor @ factor.T, lam * np.eye(2), rtol=1e-12)
+        # The one step: sqrt(1e-10) I stacked under the rows.
+        a, b, log_det, lam = cholesky_factorize(np.zeros((5, 2)))
+        assert lam == 1e-10
+        np.testing.assert_allclose(a @ a.T, lam * np.eye(2), rtol=1e-12)
+        np.testing.assert_allclose(b, np.eye(2) / math.sqrt(lam), rtol=1e-12)
+        assert log_det == pytest.approx(2 * math.log(lam), rel=1e-12)
 
-    def test_negative_definite_escalates_past_one(self):
-        c = -np.eye(2)
-        factor, lam = cholesky_factorize(c)
-        assert lam > 1.0
-        # The reported lam must be the smallest ladder value that works.
-        assert lam / 2.0 <= 1.0
-        np.testing.assert_allclose(factor @ factor.T, c + lam * np.eye(2), rtol=1e-9)
+    @pytest.mark.parametrize("spread,rank", [(1e-15, 1), (1e-12, 2)])
+    def test_rank_deficiency_is_relative_to_the_largest_pivot(self, spread, rank):
+        # Two columns at scale 1e6 that differ by `spread` relative: R's
+        # second pivot is about `spread` times its first, against numpy's
+        # matrix_rank tolerance of 10 eps. Only the rank-one rows take the
+        # jitter step, and numpy's rank agrees.
+        rng = np.random.default_rng(6)
+        column = rng.standard_normal(10) * 1e6
+        rows = np.column_stack([column, column + spread * rng.standard_normal(10) * 1e6])
+        _, _, _, lam = cholesky_factorize(rows)
+        assert np.linalg.matrix_rank(rows) == rank
+        assert lam == (1e-10 if rank == 1 else 0.0)
 
     def test_ladder_exhaustion(self):
-        with pytest.raises(InvalidInputError, match="jitter doublings"):
-            cholesky_factorize(-1e30 * np.eye(2))
+        # Three equal columns at scale 1e20: the absolute jitter is far below
+        # the rank tolerance, so the rows stay rank-deficient.
+        column = np.random.default_rng(11).normal(0.0, 1e20, 10)
+        with pytest.raises(InvalidInputError, match="rank-deficient even with jitter"):
+            cholesky_factorize(np.column_stack([column] * 3))
 
-    def test_rejects_non_square(self):
-        with pytest.raises(InvalidInputError):
-            cholesky_factorize(np.ones((2, 3)))
+    def test_fewer_rows_than_columns_take_the_jitter_step(self):
+        a, _, _, lam = cholesky_factorize(np.array([[1.0, 2.0, 3.0]]))
+        assert lam == 1e-10
+        np.testing.assert_allclose(a @ a.T, np.outer([1, 2, 3], [1, 2, 3]) + lam * np.eye(3),
+                                   rtol=1e-9, atol=1e-12)
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidInputError):
-            cholesky_factorize(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    def test_rejects_non_2d(self):
+        for rows in (np.ones(3), np.ones((2, 3, 1))):
+            with pytest.raises(InvalidInputError, match="2-D"):
+                cholesky_factorize(rows)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
@@ -78,11 +87,15 @@ class TestCholeskyFactorize:
         rng = np.random.default_rng(7)
         for trial in range(200):
             dim = 1 + trial % 8
-            c = random_spd(rng, dim)
-            factor, lam = cholesky_factorize(c)
+            rows = rng.standard_normal((dim + trial % 5, dim)) + np.eye(dim + trial % 5, dim)
+            c = rows.T @ rows
+            a, b, log_det, lam = cholesky_factorize(rows)
             assert lam == 0.0
-            err = np.linalg.norm(factor @ factor.T - c) / np.linalg.norm(c)
-            assert err < 1e-9
+            np.testing.assert_array_equal(np.triu(a, 1), np.zeros((dim, dim)))
+            assert (np.diag(a) > 0).all()
+            assert np.linalg.norm(a @ a.T - c) / np.linalg.norm(c) < 1e-9
+            assert np.abs(a @ b - np.eye(dim)).max() < 1e-9
+            assert log_det == pytest.approx(np.linalg.slogdet(c)[1], abs=1e-9)
 
 
 class TestTriSolveLower:
@@ -202,7 +215,7 @@ class TestLogDetFromFactor:
         assert log_det_from_factor(np.diag([2.0, 3.0])) == pytest.approx(math.log(36.0), rel=1e-12)
 
     def test_factor_of_known_determinant(self):
-        factor, _ = cholesky_factorize(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        factor = np.linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
         assert log_det_from_factor(factor) == pytest.approx(math.log(8.0), rel=1e-12)
 
     def test_agrees_with_direct_determinant(self):
