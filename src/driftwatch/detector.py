@@ -120,7 +120,9 @@ def fit_static(data) -> GaussianModel:
         raise InvalidInputError(f"need at least {m + 1} samples for dimension {m}, got {n}")
 
     total = data.sum(axis=0)
-    return _factored(n, total, derive_blend(n), 0.0, (data - total / n) / math.sqrt(n - 1))
+    rows = data - total / n
+    rows /= math.sqrt(n - 1)
+    return _factored(n, total, derive_blend(n), 0.0, rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge x overflows q; it is refused
@@ -142,11 +144,12 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
     Each point is either refused, and the model returned unchanged, or
     blended; there is no third path. It is refused when q is not finite or
     its rank-one term would swamp C in float64, gamma q eps >= 1 with eps
-    the machine epsilon (a huge but finite x), or when its rebuild cannot
-    be factorized. A, B and the log-determinant are rebuilt exactly, from
-    one QR of [sqrt(alpha s) Aᵀ; sqrt(beta) dᵀ], when the residual of the
-    pair along d, ‖A u - d‖∞, exceeds ``DRIFT_LIMIT`` ‖d‖∞, when gamma q eps
-    reaches ``DRIFT_LIMIT``, or after ``REFACTOR_EVERY`` rank-one updates.
+    the machine epsilon (a huge but finite x), when the running sum with x
+    added is not finite, or when its rebuild cannot be factorized. A, B and
+    the log-determinant are rebuilt exactly, from one QR of
+    [sqrt(alpha s) Aᵀ; sqrt(beta) dᵀ], when the residual of the pair along
+    d, ‖A u - d‖∞, exceeds ``DRIFT_LIMIT`` ‖d‖∞, when gamma q eps reaches
+    ``DRIFT_LIMIT``, or after ``REFACTOR_EVERY`` rank-one updates.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.m:
@@ -163,8 +166,10 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
         if not np.isfinite(x).all():
             raise InvalidInputError("point contains non-finite entries")
         return model
-    n = model.n + 1
     total = model.total + x
+    if not np.isfinite(total).all():  # the running sum overflows
+        return model
+    n = model.n + 1
     au = model.a.dot(u)
     updates = model.updates_since_refactor + 1
     drift_ok = np.abs(au - d).max() <= DRIFT_LIMIT * np.abs(d).max()
@@ -193,41 +198,59 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     blended. The residuals d_j = x_j - mu_j of the K blended rows are taken
     against the running mean, mu_j = (running sum) / (n + j), one prefix sum
     in the row order ``update_online`` adds them, so the sums and means match
-    it bit for bit, and the covariance is
+    it bit for bit. A prefix sum that overflows stays non-finite, so the
+    first row whose prefix sum is not finite is refused with every row after
+    it. The covariance is
 
         C_K = alpha^K C_0 + sum_r beta alpha^(K-1-r) d_r d_rᵀ,
 
     factorized by one QR of sqrt(alpha^K s) Aᵀ stacked on the weighted
-    residual rows; ``updates_since_refactor`` is 0. Any jitter the QR needs
-    is added to the covariance and to ``jitter_used``. An empty batch, or
-    one whose rows are all refused, returns the model unchanged. Rows that
-    are non-finite or not of length m raise InvalidInputError, as in
-    ``update_online``.
+    residual rows; ``updates_since_refactor`` is 0. Those m + K rows, and
+    the prefix sums they are made from, are built in place in one
+    (m + K + 1, m) buffer. Any jitter the QR needs is added to the
+    covariance and to ``jitter_used``. An empty batch, or one whose rows are
+    all refused, returns the model unchanged. Rows that are non-finite or
+    not of length m raise InvalidInputError, as in ``update_online``.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != model.m:
-        raise InvalidInputError(f"expected rows of length {model.m}, got shape {xs.shape}")
+    m = model.m
+    if xs.ndim != 2 or xs.shape[1] != m:
+        raise InvalidInputError(f"expected rows of length {m}, got shape {xs.shape}")
     if not np.isfinite(xs).all():
         raise InvalidInputError("batch contains non-finite entries")
     alpha, beta = model.blend.alpha, model.blend.beta
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge row overflows q; it is refused
+    with np.errstate(over="ignore", invalid="ignore"):  # huge rows overflow q or the sum; refused
         u = (xs - model.mu) @ model.b.T
         q = np.einsum("ij,ij->i", u, u) / model.s
-        xs = xs[np.isfinite(q) & (beta / alpha * q * FLOAT_EPS < 1.0)]
-    k = xs.shape[0]
-    if k == 0:
-        return model
-
-    # The starting sum goes first so each prefix is ((t0 + x0) + x1) + ...,
-    # the order of update_online's additions; row j is the sum before row j.
-    totals = np.cumsum(np.vstack([model.total, xs]), axis=0)
-    means = totals[:-1] / np.arange(model.n, model.n + k, dtype=np.float64)[:, None]
-    # Row r carries weight beta * alpha^(K-1-r); scaling it by the square
-    # root makes the sum one product of the stacked rows.
-    weights = math.sqrt(beta) * alpha ** (0.5 * np.arange(k - 1, -1, -1.0))
-    rows = np.vstack([math.sqrt(alpha**k * model.s) * model.a.T, (xs - means) * weights[:, None]])
-    # A copy, so the model does not keep the whole batch's prefix sums alive.
-    return _factored(model.n + k, totals[-1].copy(), model.blend, model.jitter_used, rows)
+        keep = np.isfinite(q) & (beta / alpha * q * FLOAT_EPS < 1.0)
+        if not keep.all():
+            xs = xs[keep]
+        k = xs.shape[0]
+        if k == 0:
+            return model
+        # Rows m.. hold the starting sum, then the rows: their prefix sums
+        # are ((t0 + x0) + x1) + ..., the order of update_online's additions,
+        # and row m + j becomes the sum before row j.
+        rows = np.empty((m + k + 1, m))
+        sums = rows[m:]
+        sums[0] = model.total
+        sums[1:] = xs
+        np.cumsum(sums, axis=0, out=sums)
+    if not np.isfinite(sums[-1]).all():  # refuse the first row that overflows and all after it
+        k = int(np.isfinite(sums[1:]).all(axis=1).argmin())
+        if k == 0:
+            return model
+        rows, sums, xs = rows[: m + k + 1], sums[: k + 1], xs[:k]
+    # The residual rows, in place: mean, residual, then weight
+    # beta * alpha^(K-1-r) on row r by its square root, so the sum is one
+    # product of the stacked rows.
+    resid = sums[:-1]
+    resid /= np.arange(model.n, model.n + k, dtype=np.float64)[:, None]
+    np.subtract(xs, resid, out=resid)
+    resid *= (math.sqrt(beta) * alpha ** (0.5 * np.arange(k - 1, -1, -1.0)))[:, None]
+    np.multiply(math.sqrt(alpha**k * model.s), model.a.T, out=rows[:m])
+    # A copy, so the model keeps no view of the buffer.
+    return _factored(model.n + k, sums[-1].copy(), model.blend, model.jitter_used, rows[:-1])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge x scores d² = inf

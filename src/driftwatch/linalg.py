@@ -83,11 +83,14 @@ def cholesky_factorize(rows) -> tuple[np.ndarray, np.ndarray, float, float]:
         if lam:
             rows = np.vstack([rows, math.sqrt(lam) * np.eye(m)])
         r = np.linalg.qr(rows, mode="r")
-        diag = np.abs(np.diag(r))
+        signs = np.diag(r)
+        diag = np.abs(signs)
+        # Passing this test makes the diagonal finite and positive (NaN and
+        # inf fail it), and A's diagonal is exactly |Rᵢᵢ|.
         if diag.size == m and diag.min() > max(rows.shape) * FLOAT_EPS * diag.max():
             # C order, as a checkpoint reloads it: BLAS sums in memory order.
-            a = np.ascontiguousarray((r * np.sign(np.diag(r))[:, None]).T)
-            return a, np.linalg.inv(a), log_det_from_factor(a), lam
+            a = np.ascontiguousarray((r * np.sign(signs)[:, None]).T)
+            return a, np.linalg.inv(a), 2.0 * float(np.sum(np.log(diag))), lam
     raise InvalidInputError(f"rows are rank-deficient even with jitter {DEFAULT_JITTER:g}")
 
 
@@ -157,16 +160,17 @@ def sherman_morrison_update(cinv, v, blend: CovBlend) -> np.ndarray:
     return (cinv - np.multiply.outer(w, w) * (gamma / denom)) / blend.alpha
 
 
-def _checked_factor(a) -> np.ndarray:
+def _checked_factor(a) -> tuple[np.ndarray, np.ndarray]:
     a = _as_square_matrix(a, "factor")
-    if not (np.isfinite(np.diag(a)).all() and (np.diag(a) > 0.0).all()):
+    diag = np.diag(a)
+    if not (np.isfinite(diag).all() and (diag > 0.0).all()):
         raise InvalidInputError("factor diagonal must be finite and strictly positive")
-    return a
+    return a, diag
 
 
 def log_det_from_factor(a) -> float:
     """``log |A Aᵀ| = 2 Σ log aᵢᵢ`` for a lower-triangular factor ``A``."""
-    return 2.0 * float(np.sum(np.log(np.diag(_checked_factor(a)))))
+    return 2.0 * float(np.sum(np.log(_checked_factor(a)[1])))
 
 
 def inverse_from_factor(a) -> np.ndarray:
@@ -174,6 +178,6 @@ def inverse_from_factor(a) -> np.ndarray:
 
     Inverts ``A``, then forms ``A⁻ᵀ A⁻¹``; the result is symmetrized.
     """
-    w = np.linalg.inv(np.tril(_checked_factor(a)))
+    w = np.linalg.inv(np.tril(_checked_factor(a)[0]))
     out = w.T @ w
     return 0.5 * (out + out.T)

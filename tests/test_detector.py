@@ -354,6 +354,63 @@ class TestUpdateMany:
             update_many(model, xs)
 
 
+class TestBatchBuffers:
+    """``fit_static`` and ``update_many`` build their QR rows in a buffer of
+    their own: the caller's rows stay as they were, the model shares no
+    memory with them, and one QR and one inverse run per call."""
+
+    @staticmethod
+    def check_untouched(xs, before, model):
+        assert xs.tobytes() == before.tobytes()
+        for arr in (model.total, model.mu, model.a, model.b):
+            assert not np.shares_memory(arr, xs)
+        # The sum owns its memory, so the model keeps no view of a buffer.
+        assert model.total.flags.owndata
+
+    @pytest.mark.parametrize("m", [1, 15])
+    def test_fit_static_leaves_its_rows_alone(self, m):
+        data = np.random.default_rng(m).standard_normal((3 * m + 20, m)) * 4.0 + 9.0
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        before = data.copy()
+        self.check_untouched(data, before, fit_static(data))
+
+    @pytest.mark.parametrize("refused", [False, True])
+    @pytest.mark.parametrize("m", [1, 15])
+    def test_update_many_leaves_its_rows_alone(self, m, refused):
+        rng = np.random.default_rng(10 + m)
+        model = fitted_model(rng, n=3 * m + 20, dim=m)
+        xs = rng.standard_normal((200, m)) * 4.0 + 9.0
+        if refused:
+            xs[7] = 1e200
+        assert xs.dtype == np.float64 and xs.flags.c_contiguous
+        before = xs.copy()
+        batched = update_many(model, xs)
+        assert batched.n == model.n + 200 - refused
+        self.check_untouched(xs, before, batched)
+
+    @pytest.mark.parametrize("call", ["fit_static", "update_many"])
+    def test_one_qr_and_one_inverse_per_call(self, monkeypatch, call):
+        rng = np.random.default_rng(36)
+        model = fitted_model(rng, n=100, dim=15)
+        xs = rng.standard_normal((800, 15))
+        counts = {"qr": 0, "inv": 0}
+
+        def counting(name):
+            kernel = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return kernel(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        new = fit_static(xs) if call == "fit_static" else update_many(model, xs)
+        assert new.jitter_used == model.jitter_used == 0.0  # full rank
+        assert counts == {"qr": 1, "inv": 1}
+
+
 class TestScore:
     def test_density_at_mean_univariate(self):
         model = fit_static(np.array([-1.0, 0.0, 1.0]))
@@ -831,6 +888,27 @@ class TestRunningSum:
             assert np.abs(model.mu - exact).max() <= 2.0 * reference
         np.testing.assert_array_equal(batched.total, folded.total)
         np.testing.assert_array_equal(batched.mu, folded.mu)
+
+
+    def test_overflowing_sum_is_refused(self):
+        # The square root fits rows near 1.7e306, but their running sum
+        # reaches the float64 limit a few updates later; the points that
+        # would make it overflow are refused, and the mean stays finite.
+        data = 1.7e306 + 1e305 * np.random.default_rng(0).standard_normal((400, 3))
+        start = fit_static(data[:100])
+        folded, flagged = start, 0
+        for x in data[100:]:
+            flagged += score(folded, x).is_anomaly
+            folded = update_online(folded, x)
+        batched = update_many(start, data[100:])
+        assert 100 < folded.n == batched.n < 400
+        assert np.isfinite(folded.mu).all()
+        np.testing.assert_array_equal(batched.total, folded.total)
+        np.testing.assert_array_equal(batched.mu, folded.mu)
+        assert flagged <= 30
+        # Once the sum is at the limit, every such row is refused.
+        assert update_online(folded, data[-1]) is folded
+        assert update_many(batched, data[100:]) is batched
 
 
 class TestIllConditionedStreams:
