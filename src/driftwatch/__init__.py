@@ -15,9 +15,7 @@ from .linalg import (
     cholesky_factorize,
     factor_rank_one_update,
     inverse_from_factor,
-    log_det_from_factor,
     sherman_morrison_update,
-    tri_solve_lower,
 )
 from .pewma import (
     PewmaParams,

@@ -7,16 +7,17 @@ is the square root of C's. One point is two outer products, the
 square-root covariance update of CMA-ES (Igel, Suttorp & Hansen 2006;
 Krause, Arbonès & Igel 2016); the log-determinant follows by the matrix
 determinant lemma, and the mean is the running sum of the absorbed points
-over their count, mean = sum / n. A, B and the log-determinant are
-rebuilt exactly, from one QR by ``linalg.cholesky_factorize``, when drift
-shows, when a point's rank-one term swamps C, or every ``REFACTOR_EVERY``
-updates (a constant, like the starting jitter).
-``score`` flags a point farther than Mahalanobis distance 3 or, given a
-density threshold tau, one whose log-density falls below log tau; it
-returns the ``Verdict`` that ``pewma`` defines for both detectors.
-``update_many`` absorbs a whole batch in closed form, for callers that
-never score between updates. Models are values;
-both update functions return a new model and never mutate their argument.
+over their count, mean = sum / n. ``update_many`` absorbs a whole batch
+in closed form, from one QR by ``linalg.cholesky_factorize``, and holds
+the one rule for refusing a point. ``update_online`` takes the two-outer-
+product step and hands every other point to ``update_many`` as a batch of
+one: when drift shows, when a point's rank-one term swamps C, when the
+running sum overflows, or every ``REFACTOR_EVERY`` updates (a constant,
+like the starting jitter). ``score`` flags a point farther than
+Mahalanobis distance 3 or, given a density threshold tau, one whose
+log-density falls below log tau; it returns the ``Verdict`` that
+``pewma`` defines for both detectors. Models are values; both update
+functions return a new model and never mutate their argument.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def fit_static(data) -> GaussianModel:
     return _factored(n, total, derive_blend(n), 0.0, rows)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a huge x overflows q; it is refused
+@np.errstate(over="ignore", invalid="ignore")  # a huge x overflows q or the sum
 def update_online(model: GaussianModel, x) -> GaussianModel:
     """Absorb one point: blend the covariance, update the mean.
 
@@ -141,15 +142,13 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
     and nothing divides by q, so x at the mean (q = 0) leaves A and B as
     they were: C' = alpha C.
 
-    Each point is either refused, and the model returned unchanged, or
-    blended; there is no third path. It is refused when q is not finite or
-    its rank-one term would swamp C in float64, gamma q eps >= 1 with eps
-    the machine epsilon (a huge but finite x), when the running sum with x
-    added is not finite, or when its rebuild cannot be factorized. A, B and
-    the log-determinant are rebuilt exactly, from one QR of
-    [sqrt(alpha s) Aᵀ; sqrt(beta) dᵀ], when the residual of the pair along
-    d, ‖A u - d‖∞, exceeds ``DRIFT_LIMIT`` ‖d‖∞, when gamma q eps reaches
-    ``DRIFT_LIMIT``, or after ``REFACTOR_EVERY`` rank-one updates.
+    This step is taken when fewer than ``REFACTOR_EVERY`` rank-one updates
+    follow the last rebuild, gamma q eps < ``DRIFT_LIMIT`` with eps the
+    machine epsilon, the running sum with x added is finite, and the pair
+    shows no drift along d, ‖A u - d‖∞ <= ``DRIFT_LIMIT`` ‖d‖∞. Any other
+    point is ``update_many(model, x[None, :])``, which refuses it or
+    rebuilds A, B and the log-determinant exactly; a point whose rebuild is
+    rank-deficient even with jitter is refused, and the model returned.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.m:
@@ -158,33 +157,28 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
     # ndarray.dot makes the same BLAS call as @ at half its overhead on small arrays.
     u = model.b.dot(d)
     q = float(u.dot(u)) / model.s
-    alpha, beta = model.blend.alpha, model.blend.beta
-    gamma = beta / alpha
-    swamp = gamma * q * FLOAT_EPS
-    if not math.isfinite(q) or swamp >= 1.0:
-        # A non-finite entry makes q non-finite, so only here is x checked.
-        if not np.isfinite(x).all():
-            raise InvalidInputError("point contains non-finite entries")
-        return model
+    alpha = model.blend.alpha
+    gamma = model.blend.beta / alpha
     total = model.total + x
-    if not np.isfinite(total).all():  # the running sum overflows
-        return model
-    n = model.n + 1
     au = model.a.dot(u)
     updates = model.updates_since_refactor + 1
-    drift_ok = np.abs(au - d).max() <= DRIFT_LIMIT * np.abs(d).max()
-    if updates < REFACTOR_EVERY and swamp < DRIFT_LIMIT and drift_ok:
+    if (updates < REFACTOR_EVERY and gamma * q * FLOAT_EPS < DRIFT_LIMIT
+            and np.isfinite(total).all()
+            and np.abs(au - d).max() <= DRIFT_LIMIT * np.abs(d).max()):
         r = math.sqrt(1.0 + gamma * q)
         c = gamma / model.s / (r + 1.0)
         a = model.a + np.multiply.outer(c * au, u)
         b = model.b - np.multiply.outer(c / r * u, u.dot(model.b))
         log_det = model.log_det + model.m * math.log(alpha) + math.log1p(gamma * q)
+        n = model.n + 1
         return GaussianModel(model.m, n, total, total / n, alpha * model.s, a, b, log_det,
                              model.blend, updates, model.jitter_used)
-    try:  # rows of the exact d, so a drifted B does not steer the blend
-        return _factored(n, total, model.blend, model.jitter_used,
-                         np.vstack([math.sqrt(alpha * model.s) * model.a.T, math.sqrt(beta) * d]))
-    except InvalidInputError:  # non-finite, or rank-deficient even with jitter
+    # A non-finite entry fails the test above, so only here is x checked.
+    if not np.isfinite(x).all():
+        raise InvalidInputError("point contains non-finite entries")
+    try:
+        return update_many(model, x[None, :])
+    except InvalidInputError:  # rank-deficient even with jitter
         return model
 
 
@@ -192,9 +186,9 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     """Absorb the rows of ``xs`` at once: the model that folding
     ``update_online`` over them gives, in closed form.
 
-    A row is refused, as ``update_online`` refuses it, when q is not finite
-    or its rank-one term would swamp C in float64, (beta/alpha) q eps >= 1,
-    with q taken against the starting mean and inverse; every other row is
+    A row is refused when q is not finite or its rank-one term would swamp
+    C in float64, (beta/alpha) q eps >= 1 with eps the machine epsilon, with
+    q taken against the starting mean and inverse; every other row is
     blended. The residuals d_j = x_j - mu_j of the K blended rows are taken
     against the running mean, mu_j = (running sum) / (n + j), one prefix sum
     in the row order ``update_online`` adds them, so the sums and means match
@@ -306,10 +300,20 @@ def _fmt_row(row) -> str:
 
 def save_model(model: GaussianModel, dest, points: int | None = None) -> None:
     """Write a model checkpoint to a path or text file object; ``points`` is
-    the count of data points consumed, ``model.n`` unless given."""
+    the count of data points consumed, ``model.n`` unless given.
+
+    A path is written atomically: the checkpoint goes to ``<path>.tmp``,
+    which then replaces the path, so a failed write leaves the old file as
+    it was and removes the temporary one."""
     if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="ascii") as handle:
-            save_model(model, handle, points)
+        tmp = os.fspath(dest) + ".tmp"
+        try:
+            with open(tmp, "w", encoding="ascii") as handle:
+                save_model(model, handle, points)
+            os.replace(tmp, dest)
+        finally:  # the file is left only where the write failed
+            if os.path.exists(tmp):
+                os.remove(tmp)
         return
     dest.write(CHECKPOINT_VERSION + "\n")
     dest.write(f"{model.m} {model.n}\n")
@@ -333,7 +337,8 @@ def load_checkpoint(src) -> tuple[GaussianModel, int]:
     of data points consumed.
 
     Raises InvalidInputError unless the file starts with the current version
-    line, every value is finite, the blend weights are valid, the refactor
+    line, every value is finite, the blend weights are of the
+    form ``derive_blend`` gives, 0 < beta < 1 and alpha = 1 - beta, the refactor
     counter is in [0, ``REFACTOR_EVERY``), the jitter is >= 0, s is > 0, the
     point count is at least n, A factorizes by QR without jitter,
     ‖A B - I‖max is at most ``DRIFT_LIMIT``, and the stored log-determinant
@@ -368,6 +373,9 @@ def load_checkpoint(src) -> tuple[GaussianModel, int]:
     if not all(map(math.isfinite, (alpha, beta, log_det, jitter_used, s))):
         raise InvalidInputError(f"non-finite checkpoint state: {lines[2]!r}")
     blend = CovBlend(alpha=alpha, beta=beta)
+    if not (0.0 < beta < 1.0 and alpha == 1.0 - beta):
+        raise InvalidInputError(f"checkpoint blend weights are not 1 - beta, beta with "
+                                f"0 < beta < 1: {lines[2]!r}")
     if not 0 <= updates < REFACTOR_EVERY or jitter_used < 0.0 or s <= 0.0 or points < n:
         raise InvalidInputError(f"checkpoint state out of range: {lines[2]!r}")
 
@@ -385,14 +393,16 @@ def load_checkpoint(src) -> tuple[GaussianModel, int]:
     total = parse_row(lines[3], "sum")
     a = np.vstack([parse_row(lines[4 + i], "square-root") for i in range(m)])
     b = np.vstack([parse_row(lines[4 + m + i], "inverse") for i in range(m)])
-    try:
-        _, _, qr_log_det, lam = linalg.cholesky_factorize(math.sqrt(s) * a.T)
-    except InvalidInputError as exc:
-        raise InvalidInputError("checkpoint square root does not factorize") from exc
+    # Huge entries overflow sqrt(s) Aᵀ or A B to inf, which the checks refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            _, _, qr_log_det, lam = linalg.cholesky_factorize(math.sqrt(s) * a.T)
+        except InvalidInputError as exc:
+            raise InvalidInputError("checkpoint square root does not factorize") from exc
+        residual = float(np.abs(a @ b - np.eye(m)).max())
     if lam:
         raise InvalidInputError("checkpoint square root does not factorize without jitter")
-    residual = float(np.abs(a @ b - np.eye(m)).max())
-    if residual > DRIFT_LIMIT:
+    if not residual <= DRIFT_LIMIT:  # NaN where A B sums inf - inf
         raise InvalidInputError(f"checkpoint inverse does not invert its square root: "
                                 f"max |A B - I| = {residual:g}")
     if abs(log_det - qr_log_det) > LOG_DET_TOL + m * residual:

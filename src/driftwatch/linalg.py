@@ -3,9 +3,9 @@
 ``cholesky_factorize`` is the one factorization the detector runs: the
 Cholesky factor of a Gram matrix from one QR of its rows, with one jitter
 step for rank-deficient rows, and the factor's inverse and
-log-determinant. Forward substitution, rank-one updates of a
-lower-triangular factor, Sherman-Morrison inverse updates, and the exact
-inverse and log-determinant from a factor are public kernels beside it.
+log-determinant. Rank-one updates of a lower-triangular factor,
+Sherman-Morrison inverse updates, and the exact inverse from a factor are
+public kernels beside it.
 All functions are pure: they take plain float64 numpy arrays (rows
 ``(k, m)``, matrices ``(m, m)``, vectors ``(m,)``) and return fresh
 arrays, so values can be shared across threads freely.
@@ -94,16 +94,6 @@ def cholesky_factorize(rows) -> tuple[np.ndarray, np.ndarray, float, float]:
     raise InvalidInputError(f"rows are rank-deficient even with jitter {DEFAULT_JITTER:g}")
 
 
-def tri_solve_lower(a, b) -> np.ndarray:
-    """Solve ``A y = b`` for lower-triangular ``A`` by forward substitution."""
-    a = _as_square_matrix(a, "factor")
-    b = _as_vector(b, a.shape[0], "rhs")
-    out = np.empty_like(b)
-    for i in range(a.shape[0]):
-        out[i] = (b[i] - a[i, :i] @ out[:i]) / a[i, i]
-    return out
-
-
 def factor_rank_one_update(a, z, blend: CovBlend) -> np.ndarray:
     """Lower-triangular factor of ``alpha * A Aᵀ + beta * v vᵀ`` with ``v = A z``.
 
@@ -160,24 +150,16 @@ def sherman_morrison_update(cinv, v, blend: CovBlend) -> np.ndarray:
     return (cinv - np.multiply.outer(w, w) * (gamma / denom)) / blend.alpha
 
 
-def _checked_factor(a) -> tuple[np.ndarray, np.ndarray]:
+def inverse_from_factor(a) -> np.ndarray:
+    """``(A Aᵀ)⁻¹`` from a lower-triangular factor, via triangular inversion.
+
+    Inverts ``A``, then forms ``A⁻ᵀ A⁻¹``; the result is symmetrized. Raises
+    InvalidInputError unless the factor's diagonal is finite and positive.
+    """
     a = _as_square_matrix(a, "factor")
     diag = np.diag(a)
     if not (np.isfinite(diag).all() and (diag > 0.0).all()):
         raise InvalidInputError("factor diagonal must be finite and strictly positive")
-    return a, diag
-
-
-def log_det_from_factor(a) -> float:
-    """``log |A Aᵀ| = 2 Σ log aᵢᵢ`` for a lower-triangular factor ``A``."""
-    return 2.0 * float(np.sum(np.log(_checked_factor(a)[1])))
-
-
-def inverse_from_factor(a) -> np.ndarray:
-    """``(A Aᵀ)⁻¹`` from a lower-triangular factor, via triangular inversion.
-
-    Inverts ``A``, then forms ``A⁻ᵀ A⁻¹``; the result is symmetrized.
-    """
-    w = np.linalg.inv(np.tril(_checked_factor(a)[0]))
+    w = np.linalg.inv(np.tril(a))
     out = w.T @ w
     return 0.5 * (out + out.T)

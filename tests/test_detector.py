@@ -1,3 +1,4 @@
+import errno
 import io
 import math
 from dataclasses import fields, replace
@@ -5,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from driftwatch import detector
 from driftwatch.detector import (
     DRIFT_LIMIT,
     REFACTOR_EVERY,
@@ -728,6 +730,8 @@ class TestCheckpoint:
             (4, "inf", "non-finite"),
             (0, "0", "alpha"),
             (1, "-0.5", "beta"),
+            (0, "2", "blend weights"),
+            (1, "0.5", "blend weights"),
             (3, "256", "out of range"),
             (3, "-1", "out of range"),
             (3, "1.5", "malformed"),
@@ -744,6 +748,41 @@ class TestCheckpoint:
         text = self.corrupt_lines(lambda lines: self.set_entry(lines, self.STATE_ROW, col, value))
         with pytest.raises(InvalidInputError, match=match):
             load_model(text)
+
+    def test_overflowing_square_root_rejected(self):
+        # A B is still I, but sqrt(s) Aᵀ overflows to inf: refused as a
+        # square root that does not factorize, not with a RuntimeWarning.
+        def scale(lines):
+            self.set_entry(lines, self.STATE_ROW, 5, "1e300")
+            for i in range(3):
+                root, inverse = self.FIRST_ROOT_ROW + i, self.FIRST_ROOT_ROW + 3 + i
+                lines[root] = " ".join(repr(float(tok) * 1e200) for tok in lines[root].split())
+                lines[inverse] = " ".join(repr(float(tok) * 1e-200) for tok in lines[inverse].split())
+
+        with pytest.raises(InvalidInputError, match="does not factorize"):
+            load_model(self.corrupt_lines(scale))
+
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        # A write that fails part way, as on a full disk, leaves the file it
+        # would have replaced as it was, and no temporary file beside it.
+        rng = np.random.default_rng(79)
+        model = fitted_model(rng, n=50, dim=3)
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        fmt_row, calls = detector._fmt_row, []
+
+        def full_disk_on_the_fourth_row(row):
+            calls.append(row)
+            if len(calls) == 4:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return fmt_row(row)
+
+        monkeypatch.setattr(detector, "_fmt_row", full_disk_on_the_fourth_row)
+        with pytest.raises(OSError, match="No space left"):
+            save_model(update_online(model, rng.standard_normal(3)), path)
+        monkeypatch.undo()
+        assert same_model(load_model(path), model)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_state_with_a_missing_field_rejected(self):
         def drop_last(lines):
@@ -848,6 +887,66 @@ class TestAdmission:
             batched = update_many(model, online)
             assert batched.n == folded.n, kind
             np.testing.assert_array_equal(batched.mu, folded.mu, err_msg=kind)
+
+
+class TestOnePointBatch:
+    """A point off the rank-one path is ``update_many`` of that one point: a
+    rebuild gives the same model, field for field, and a refused point
+    returns the model object itself."""
+
+    @staticmethod
+    def due(cause):
+        rng = np.random.default_rng(81)
+        model = update_online(fitted_model(rng, n=50, dim=4), rng.standard_normal(4))
+        x = rng.standard_normal(4)
+        if cause == "periodic":
+            model = replace(model, updates_since_refactor=REFACTOR_EVERY - 1)
+        elif cause == "drift":
+            model = replace(model, b=model.b * 1.01)
+        else:  # gamma q eps = 1e-2 along A's first column
+            gamma = model.blend.beta / model.blend.alpha
+            x = model.mu + math.sqrt(model.s * 1e-2 / (gamma * FLOAT_EPS)) * model.a[:, 0]
+        return model, x
+
+    @pytest.mark.parametrize("cause", ["periodic", "drift", "swamp"])
+    def test_rebuild_is_the_batch_of_one(self, cause):
+        model, x = self.due(cause)
+        online = update_online(model, x)
+        assert online.n == model.n + 1 and online.updates_since_refactor == 0
+        assert same_model(online, update_many(model, x[None]))
+
+    @pytest.mark.parametrize("cause", ["overflowing q", "swamped", "overflowing sum"])
+    def test_refused_point_returns_the_model(self, cause):
+        model = fitted_model(np.random.default_rng(82), n=50, dim=4)
+        if cause == "overflowing q":
+            x = np.full(4, 1e200)
+        elif cause == "swamped":
+            x = np.full(4, 1e12)
+        else:  # x at the mean of a model whose running sum is at the float64 limit
+            total = np.full(4, np.finfo(np.float64).max)
+            model = replace(model, total=total, mu=total / model.n)
+            x = model.mu.copy()
+        assert update_online(model, x) is model
+        assert update_many(model, x[None]) is model
+
+    def test_unfactorizable_rebuild_returns_the_model(self):
+        # The rank-one C of TestUpdateOnline's unfactorizable rebuild: the
+        # batch of one raises, and update_online refuses the point.
+        model = GaussianModel(
+            m=2, n=100, total=np.zeros(2), mu=np.zeros(2), s=1.0,
+            a=1e20 * np.array([[1.0, 0.0], [1.0, 0.0]]), b=np.eye(2) / 1e20, log_det=0.0,
+            blend=derive_blend(100), updates_since_refactor=REFACTOR_EVERY - 1,
+        )
+        x = np.array([1e20, 1e20])
+        with pytest.raises(InvalidInputError, match="rank-deficient even with jitter"):
+            update_many(model, x[None])
+        assert update_online(model, x) is model
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_point_raises_as_a_point(self, value):
+        model = fitted_model(np.random.default_rng(83), n=50, dim=4)
+        with pytest.raises(InvalidInputError, match="point contains non-finite entries"):
+            update_online(model, np.array([0.0, value, 0.0, 0.0]))
 
 
 class TestRunningSum:

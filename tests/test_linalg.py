@@ -9,9 +9,7 @@ from driftwatch.linalg import (
     cholesky_factorize,
     factor_rank_one_update,
     inverse_from_factor,
-    log_det_from_factor,
     sherman_morrison_update,
-    tri_solve_lower,
 )
 
 
@@ -96,27 +94,6 @@ class TestCholeskyFactorize:
             assert np.linalg.norm(a @ a.T - c) / np.linalg.norm(c) < 1e-9
             assert np.abs(a @ b - np.eye(dim)).max() < 1e-9
             assert log_det == pytest.approx(np.linalg.slogdet(c)[1], abs=1e-9)
-
-
-class TestTriSolveLower:
-    def test_identity(self):
-        b = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_allclose(tri_solve_lower(np.eye(3), b), b)
-
-    def test_hand_solved_system(self):
-        a = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
-        y = tri_solve_lower(a, np.array([4.0, 5.0]))
-        np.testing.assert_allclose(y, [2.0, 3.0 / math.sqrt(2.0)], rtol=1e-12)
-        np.testing.assert_allclose(a @ y, [4.0, 5.0], rtol=1e-12)
-
-    def test_zero_rhs(self):
-        rng = np.random.default_rng(0)
-        a = np.linalg.cholesky(random_spd(rng, 4))
-        np.testing.assert_array_equal(tri_solve_lower(a, np.zeros(4)), np.zeros(4))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            tri_solve_lower(np.eye(3), np.ones(2))
 
 
 class TestFactorRankOneUpdate:
@@ -207,32 +184,6 @@ class TestShermanMorrisonUpdate:
             sherman_morrison_update(np.eye(3), np.ones(4), CovBlend(0.5, 0.5))
 
 
-class TestLogDetFromFactor:
-    def test_identity(self):
-        assert log_det_from_factor(np.eye(4)) == 0.0
-
-    def test_diagonal_factor(self):
-        assert log_det_from_factor(np.diag([2.0, 3.0])) == pytest.approx(math.log(36.0), rel=1e-12)
-
-    def test_factor_of_known_determinant(self):
-        factor = np.linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        assert log_det_from_factor(factor) == pytest.approx(math.log(8.0), rel=1e-12)
-
-    def test_agrees_with_direct_determinant(self):
-        rng = np.random.default_rng(11)
-        for dim in range(1, 7):
-            c = random_spd(rng, dim)
-            factor = np.linalg.cholesky(c)
-            direct = math.log(np.linalg.det(c))
-            assert log_det_from_factor(factor) == pytest.approx(direct, abs=1e-9)
-
-    def test_non_positive_diagonal_raises(self):
-        with pytest.raises(InvalidInputError, match="strictly positive"):
-            log_det_from_factor(np.diag([1.0, 0.0]))
-        with pytest.raises(InvalidInputError, match="strictly positive"):
-            log_det_from_factor(np.diag([1.0, -2.0]))
-
-
 class TestInverseFromFactor:
     def test_matches_direct_inverse(self):
         rng = np.random.default_rng(13)
@@ -258,7 +209,7 @@ class TestPairedUpdateConsistency:
         blend = CovBlend(0.95, 0.05)
         for _ in range(500):
             d = rng.standard_normal(dim)
-            z = tri_solve_lower(factor, d)
+            z = np.linalg.solve(factor, d)
             factor = factor_rank_one_update(factor, z, blend)
             cinv = sherman_morrison_update(cinv, d, blend)
             drift = np.abs(cinv @ (factor @ factor.T) - np.eye(dim)).sum(axis=1).max()
