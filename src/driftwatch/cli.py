@@ -65,20 +65,34 @@ def _row_format(count: int) -> str:
     return ",".join(["%.17g"] * count)
 
 
+@functools.cache
+def _verdict_format(width: int) -> str:
+    """The CSV verdict line of a ``width``-value point: index, values, score,
+    log-score and flag."""
+    return "%d," + _row_format(width + 2) + ",%s\n"
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
 def _make_emitter(out, fmt: str):
     if fmt == "jsonl":
 
+        # JSON has no inf: an overflowing score is written as null.
         def emit(index, values, verdict):
-            record = {"index": index, "values": values, "score": verdict.density,
-                      "log_score": verdict.log_density, "is_anomaly": verdict.is_anomaly}
+            record = {"index": index, "values": values,
+                      "score": _finite_or_none(verdict.density),
+                      "log_score": _finite_or_none(verdict.log_density),
+                      "is_anomaly": verdict.is_anomaly}
             out.write(json.dumps(record) + "\n")
 
     else:
 
         def emit(index, values, verdict):
-            line = "%d," + _row_format(len(values) + 2) + ",%s\n"
             flag = "true" if verdict.is_anomaly else "false"
-            out.write(line % (index, *values, verdict.density, verdict.log_density, flag))
+            out.write(_verdict_format(len(values))
+                      % (index, *values, verdict.density, verdict.log_density, flag))
 
     return emit
 
@@ -154,6 +168,8 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
             dim = len(x)
         elif len(x) != dim:
             err.write(f"line {line_no}: fatal: dimension changed from {dim} to {len(x)}\n")
+            if checkpoint is not None and model is not None:  # keep what was absorbed
+                save_model(model, checkpoint, index)
             return EXIT_FATAL
 
         if model is None:

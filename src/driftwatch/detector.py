@@ -42,7 +42,7 @@ MAHALANOBIS_SQ_LIMIT = 9.0
 CHECKPOINT_VERSION = "driftwatch-model 5"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GaussianModel:
     """Gaussian stream model N(mu, C), with C = s A Aᵀ and B = A⁻¹.
 

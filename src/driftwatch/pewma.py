@@ -59,7 +59,7 @@ class PewmaParams:
             raise InvalidInputError(f"sigma_floor must be > 0, got {self.sigma_floor}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PewmaState:
     """Running estimates after absorbing ``t`` points.
 
@@ -73,7 +73,7 @@ class PewmaState:
     sigma_hat: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Verdict:
     """Scoring result for one point: log-density, density, the squared
     Mahalanobis distance d² (z² in one dimension), and the flag."""
@@ -92,7 +92,7 @@ def pewma_init(x1: float, params: PewmaParams) -> PewmaState:
     """State after the first observation: mean x1, variance 0."""
     if not math.isfinite(x1):
         raise InvalidInputError(f"first observation must be finite, got {x1}")
-    return PewmaState(mean=x1, var=0.0, t=1, sigma_hat=params.sigma_floor)
+    return PewmaState(x1, 0.0, 1, params.sigma_floor)
 
 
 def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaState, Verdict]:
@@ -124,14 +124,9 @@ def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaS
     var = a_t * state.var + a_t * (1.0 - a_t) * diff * diff
     sigma = math.sqrt(max(var, params.sigma_floor * params.sigma_floor))
 
-    new_state = PewmaState(mean=mean, var=var, t=t_in, sigma_hat=sigma)
-    verdict = Verdict(
-        log_density=LOG_INV_SQRT_2PI - 0.5 * z * z,
-        density=density,
-        mahalanobis_sq=z * z,
-        is_anomaly=density < params.tau and t_in > params.warmup_T,
-    )
-    return new_state, verdict
+    verdict = Verdict(LOG_INV_SQRT_2PI - 0.5 * z * z, density, z * z,
+                      density < params.tau and t_in > params.warmup_T)
+    return PewmaState(mean, var, t_in, sigma), verdict
 
 
 def ewma_step(mean: float, x: float, alpha: float) -> float:

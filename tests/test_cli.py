@@ -11,7 +11,15 @@ from click.testing import CliRunner
 from driftwatch.cli import DetectorConfig, detect, main, run_detect
 from driftwatch.detector import fit_static, load_checkpoint, load_model, score, update_online
 from driftwatch.errors import InvalidInputError
-from driftwatch.pewma import INV_SQRT_2PI, PewmaParams, pewma_init, pewma_step
+from driftwatch import pewma
+from driftwatch.pewma import (
+    INV_SQRT_2PI,
+    LOG_INV_SQRT_2PI,
+    PewmaParams,
+    Verdict,
+    pewma_init,
+    pewma_step,
+)
 from driftwatch.harness import gen_random_stream, gen_shift_stream, ShiftSpec, run_experiment_1
 from test_detector import awkward_stream
 
@@ -147,6 +155,14 @@ class TestDetectUnivariate:
         result = runner.invoke(main, ["detect", "--alpha", "1.5"], input="1.0\n")
         assert result.exit_code == 2
 
+    def test_first_verdict_is_not_mutated(self):
+        # Every stream's first verdict is the one shared module constant.
+        out = io.StringIO()
+        run_detect(univariate_input([2.0, 2.5, 1.5] * 20).splitlines(), DetectorConfig(), out,
+                   io.StringIO())
+        assert len(out.getvalue().splitlines()) == 60
+        assert pewma.FIRST_VERDICT == Verdict(LOG_INV_SQRT_2PI, INV_SQRT_2PI, 0.0, False)
+
 
 class TestDetectMultivariate:
     @staticmethod
@@ -201,6 +217,27 @@ class TestDetectMultivariate:
         )
         assert result.exit_code == 2
         assert "dimension changed" in result.stderr
+
+    def test_dimension_change_saves_the_model(self, runner, tmp_path):
+        # The fatal line takes no index: the checkpoint counts the 150 points
+        # before it, and resuming after it prints what a run without it prints.
+        lines = simulate(runner, "--kind", "abrupt-distributional", "--dim", "3",
+                         "--count", "300", "--seed", "1").splitlines(keepends=True)
+        cut = lines[150].rsplit(",", 1)[0] + "\n"
+        ckpt = tmp_path / "model.ckpt"
+        args = ["detect", "--mode", "multivariate", "--checkpoint", str(ckpt)]
+        result = runner.invoke(main, args, input="".join(lines[:150] + [cut]))
+        assert result.exit_code == 2
+        assert "line 151: fatal: dimension changed from 3 to 2" in result.stderr
+        model, points = load_checkpoint(ckpt)
+        assert (model.n, points) == (150, 150)
+
+        resumed = runner.invoke(main, args, input="".join(lines[151:]))
+        whole = runner.invoke(main, ["detect", "--mode", "multivariate"],
+                              input="".join(lines[:150] + lines[151:]))
+        assert resumed.exit_code == whole.exit_code == 0
+        assert resumed.stdout.splitlines() == whole.stdout.splitlines()[50:]
+        assert resumed.stdout.startswith("150,")
 
     def test_insufficient_static_points_is_fatal(self, runner):
         text = self.stream_text(10, 4, seed=2)
@@ -386,6 +423,29 @@ class TestDetectMultivariate:
         assert len(rows) == 5
         assert rows[0]["index"] == 40 and len(rows[0]["values"]) == 3
         assert {"score", "log_score", "is_anomaly"} <= rows[0].keys()
+
+    def test_jsonl_writes_non_finite_scores_as_null(self, runner):
+        # At scale 1e-30 every density overflows, and the 1e300 row's
+        # log-density is -inf: JSON has neither, so both are null.
+        rows = gen_random_stream(130, 15, seed=0) * 1e-30
+        rows[120] = 1e300
+        text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in rows) + "\n"
+        args = ["detect", "--mode", "multivariate"]
+        result = runner.invoke(main, [*args, "--format", "jsonl"], input=text)
+        assert result.exit_code == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        records = [json.loads(line, parse_constant=refuse) for line in result.stdout.splitlines()]
+        assert [r["index"] for r in records] == list(range(100, 130))
+        assert [r["index"] for r in records if r["score"] is None] == \
+            [i for i in range(100, 130) if i != 120]
+        assert [r["index"] for r in records if r["log_score"] is None] == [120]
+        assert records[20]["is_anomaly"] is True
+        # The CSV keeps inf and -inf.
+        csv = runner.invoke(main, args, input=text).stdout.splitlines()
+        assert csv[0].split(",")[-3] == "inf" and csv[20].split(",")[-2] == "-inf"
 
 
 class TestLineReader:

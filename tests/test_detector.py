@@ -414,6 +414,16 @@ class TestBatchBuffers:
 
 
 class TestScore:
+    def test_does_not_mutate_argument(self):
+        rng = np.random.default_rng(37)
+        model = fitted_model(rng)
+        before, mu = model_to_text(model), model.mu.copy()
+        for x in (model.mu.copy(), rng.standard_normal(3), np.full(3, 1e200)):
+            score(model, x)
+            score(model, x, tau=1e-3)
+        assert model_to_text(model) == before
+        np.testing.assert_array_equal(model.mu, mu)
+
     def test_density_at_mean_univariate(self):
         model = fit_static(np.array([-1.0, 0.0, 1.0]))
         verdict = score(model, np.array([0.0]), tau=0.0044)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,6 +97,15 @@ class TestPewmaStep:
                 expected = ewma_step(mean if mean is not None else prev_mean, float(x), params.alpha)
                 assert state.mean == pytest.approx(expected, abs=1e-12)
                 mean = state.mean
+
+    def test_does_not_mutate_argument(self):
+        params = PewmaParams(warmup_T=3)
+        state = pewma_init(0.5, params)
+        for x in (0.7, -1.2, 40.0, 0.1):  # warmup, then density-weighted steps
+            before = replace(state)
+            updated, _ = pewma_step(state, x, params)
+            assert state == before and updated != before
+            state = updated
 
     def test_uninitialized_state_rejected(self):
         bad = PewmaState(mean=0.0, var=0.0, t=0, sigma_hat=1.0)
