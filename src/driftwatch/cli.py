@@ -3,8 +3,10 @@
 ``detect`` scores points read one per line (CSV numbers; a single number in
 univariate mode), ``simulate`` emits synthetic streams with configurable
 signal changes, and ``experiment`` runs the segmented static-vs-online
-covariance protocols and prints their report CSV. Numeric output uses 17
-significant digits so downstream parsing recovers the exact float64 values.
+covariance protocols and prints their report CSV. CSV numbers carry 17
+significant digits and JSONL numbers Python's shortest round-trip repr, so
+downstream parsing recovers the exact float64 values; JSONL writes a
+non-finite score as null.
 """
 
 from __future__ import annotations
@@ -67,19 +69,18 @@ def _row_format(count: int) -> str:
 
 @functools.cache
 def _verdict_format(width: int) -> str:
-    """The CSV verdict line of a ``width``-value point: index, values, score,
-    log-score and flag."""
+    """The CSV verdict line of a point of ``width`` values."""
     return "%d," + _row_format(width + 2) + ",%s\n"
 
 
 def _finite_or_none(value: float) -> float | None:
+    """JSON has no inf: a non-finite density or log-density is written as null."""
     return value if math.isfinite(value) else None
 
 
 def _make_emitter(out, fmt: str):
     if fmt == "jsonl":
 
-        # JSON has no inf: an overflowing score is written as null.
         def emit(index, values, verdict):
             record = {"index": index, "values": values,
                       "score": _finite_or_none(verdict.density),

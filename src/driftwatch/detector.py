@@ -16,8 +16,10 @@ running sum overflows, or every ``REFACTOR_EVERY`` updates (a constant,
 like the starting jitter). ``score`` flags a point farther than
 Mahalanobis distance 3 or, given a density threshold tau, one whose
 log-density falls below log tau; it returns the ``Verdict`` that
-``pewma`` defines for both detectors. Models are values; both update
-functions return a new model and never mutate their argument.
+``pewma`` defines for both detectors. ``GaussianModel``, built once per
+point, is a plain slotted dataclass, not frozen; no function here mutates
+the model it is given (the updates return a new one), and callers treat
+it as read-only.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ level shift does not poison the mean before the detector has had a chance
 to flag it. A plain EWMA baseline (``ewma_step``) is the special case
 beta = 0. Both detectors share this stdlib-only module's ``Verdict``, which
 ``pewma_step`` and ``detector.score`` return, and its ``check_tau`` rule.
+``PewmaState`` and ``Verdict``, built once per point, are plain slotted
+dataclasses, positional and not frozen, which makes them several times
+cheaper to build; ``pewma_step`` returns new ones and never mutates its
+argument, and callers treat them as read-only.
 """
 
 from __future__ import annotations
