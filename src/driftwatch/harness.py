@@ -4,22 +4,26 @@ synthetic stream generators.
 Both experiment protocols split the stream into ``N_SEGMENTS`` segments,
 fit the model on a growing static prefix, run the online updates over part
 of the rest, and score the blended covariance against the batch covariance
-of everything consumed. The protocols never score points between updates,
-so each online segment is absorbed by one closed-form ``update_many`` call
-rather than point by point; the covariance is the same, and the inverse
-scored by ``aad_inverse`` comes from the one QR that factorizes the blended
-covariance, not from rank-one updates. ``aad`` is the mean absolute
-relative deviation over the flattened matrix entries.
+of everything consumed. Each call fits the prefixes once, each extending
+the previous fit by one segment, and those fits are both the static models
+and the batch truths: a truth's inverse is Bᵀ B / s from its QR, never the
+inverse of a formed covariance. The protocols never score points between
+updates, so each online segment is absorbed by one closed-form
+``update_many`` call rather than point by point; the covariance is the
+same, and the inverse scored by ``aad_inverse`` comes from the one QR that
+factorizes the blended covariance, not from rank-one updates. ``aad`` is
+the mean absolute relative deviation over the flattened matrix entries.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import fit_static, update_many
+from .detector import _factored, derive_blend, fit_static, update_many
 from .errors import InvalidInputError
 
 SHIFT_ABRUPT_TRANSIENT = "abrupt-transient"
@@ -37,10 +41,12 @@ class AadReport:
     """Result of one (protocol, static prefix) run.
 
     ``aad`` scores the blended covariance, s A Aᵀ; ``aad_inverse`` scores
-    its inverse, Bᵀ B / s with B = A⁻¹ from ``update_many``'s QR, against
-    the inverse of the batch covariance.
-    ``elapsed`` is wall-clock seconds for the fit + online phase only; the
-    batch truth and the scoring are not timed.
+    its inverse, Bᵀ B / s with B = A⁻¹ from ``update_many``'s QR. Both are
+    scored against the fit of the points consumed, its covariance and its
+    inverse Bᵀ B / s.
+    ``elapsed`` is wall-clock seconds: the cumulative time to build the
+    static prefix's fit, segment by segment, plus the online phase; the
+    scoring is not timed.
     """
 
     static_count: int
@@ -89,9 +95,45 @@ def aad(predicted, truth) -> float:
     return float(np.mean(np.abs((p[mask] - y[mask]) / y[mask])))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge rows overflow the moments; they are refused
+def _prefix_fits(data, bounds) -> tuple[list, list]:
+    """The model of each prefix ``data[:bound]``, and the cumulative seconds
+    taken to build it, segment by segment.
+
+    The first prefix is ``fit_static``. Each later one extends the previous
+    fit by the segment between the two bounds, with the pairwise update of
+    Chan, Golub & LeVeque (1979): the scatter of the union is the two
+    scatters plus (n1 n2 / n) δ δᵀ, δ the difference of the two means, so
+    one QR of m + k + 1 rows gives the new square root. A fit that needed
+    jitter is not extended, so that the jitter stays out of later prefixes;
+    the next prefix is fit from scratch.
+    """
+    fits, times, elapsed = [], [], 0.0
+    for bound in bounds:
+        start = time.perf_counter()
+        prev = fits[-1] if fits else None
+        if prev is None or prev.jitter_used:
+            fit = fit_static(data[:bound])
+        else:
+            m, k = prev.m, bound - prev.n
+            seg_total = data[prev.n : bound].sum(axis=0)
+            seg_mu = seg_total / k
+            rows = np.empty((m + k + 1, m))
+            np.multiply(math.sqrt((prev.n - 1) * prev.s), prev.a.T, out=rows[:m])
+            np.subtract(data[prev.n : bound], seg_mu, out=rows[m:-1])
+            np.multiply(math.sqrt(prev.n * k / bound), prev.mu - seg_mu, out=rows[-1])
+            rows /= math.sqrt(bound - 1)
+            fit = _factored(bound, prev.total + seg_total, derive_blend(bound), 0.0, rows)
+        elapsed += time.perf_counter() - start
+        fits.append(fit)
+        times.append(elapsed)
+    return fits, times
+
+
 def _run_protocol(data, to_end: bool) -> list[AadReport]:
     """Both protocols' loop; raises InvalidInputError unless each of the
-    ``N_SEGMENTS`` segments (the last takes the remainder) holds m + 1 rows."""
+    ``N_SEGMENTS`` segments (the last takes the remainder) holds m + 1 rows,
+    and when the batch covariance of a prefix scored against is singular."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
@@ -99,25 +141,24 @@ def _run_protocol(data, to_end: bool) -> list[AadReport]:
     base = n // N_SEGMENTS
     if base <= m:
         raise InvalidInputError(f"{n} points cannot fill {N_SEGMENTS} segments of {m + 1} rows")
+    # fits[k - 1] models the first k segments; the last takes the remainder.
+    fits, times = _prefix_fits(data, [base * k for k in range(1, N_SEGMENTS)] + [n])
     reports = []
-    truths = {}  # end -> (batch covariance of data[:end], its inverse)
     for static_count in range(1, N_SEGMENTS):
+        static = fits[static_count - 1]
+        truth = fits[-1] if to_end else fits[static_count]
+        if truth.jitter_used:
+            raise InvalidInputError(f"the batch covariance of the first {truth.n} points is singular")
         start = time.perf_counter()
-        split = base * static_count
-        end = n if to_end or static_count == N_SEGMENTS - 1 else split + base
-        model = update_many(fit_static(data[:split]), data[split:end])
-        elapsed = time.perf_counter() - start
-        if end not in truths:
-            truth = np.atleast_2d(np.cov(data[:end], rowvar=False, ddof=1))
-            truths[end] = truth, np.linalg.inv(truth)
-        truth, truth_inv = truths[end]
+        model = update_many(static, data[static.n : truth.n])
+        elapsed = times[static_count - 1] + time.perf_counter() - start
         reports.append(
             AadReport(
                 static_count=static_count,
-                aad=aad(model.cov, truth),
-                points_evaluated=end - split,
+                aad=aad(model.cov, truth.cov),
+                points_evaluated=truth.n - static.n,
                 elapsed=elapsed,
-                aad_inverse=aad(model.cinv, truth_inv),
+                aad_inverse=aad(model.cinv, truth.cinv),
             )
         )
     return reports

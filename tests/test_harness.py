@@ -4,13 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_detector import awkward_stream
 
-from driftwatch.detector import fit_static, update_online
+from driftwatch.detector import fit_static, update_many, update_online
 from driftwatch.errors import InvalidInputError
 from driftwatch.harness import (
     CSV_HEADER,
     AadReport,
     ShiftSpec,
+    _prefix_fits,
     aad,
     gen_random_stream,
     gen_shift_stream,
@@ -176,6 +178,102 @@ class TestExperiments:
         data = gen_random_stream(60, 1, seed=2)
         untimed = lambda reports: [replace(r, elapsed=0.0) for r in reports]
         assert untimed(run_experiment_1(data[:, 0])) == untimed(run_experiment_1(data))
+
+
+    @pytest.mark.parametrize("runner,end", [(run_experiment_1, 400), (run_experiment_2, 1000)])
+    def test_singular_batch_covariance_raises_the_package_error(self, runner, end):
+        # Column 0 is 1e12 + 1e-6 z, which rounds to the constant 1e12, so
+        # every batch covariance is singular; the first one scored against
+        # is named.
+        with pytest.raises(InvalidInputError, match=f"of the first {end} points is singular"):
+            runner(awkward_stream("offset", 1000, 3, seed=3))
+
+    @pytest.mark.parametrize("runner", [run_experiment_1, run_experiment_2])
+    def test_ill_conditioned_stream_gives_finite_reports(self, runner):
+        reports = runner(awkward_stream("rotated-scales", 1000, 3, seed=3))
+        assert len(reports) == 4
+        assert all(math.isfinite(r.aad) and math.isfinite(r.aad_inverse) for r in reports)
+
+    def test_a_singular_first_segment_stays_out_of_later_fits(self):
+        # The first segment's constant column makes its fit need jitter; at
+        # a variance of 1e-8, jitter of 1e-10 carried into the next prefix
+        # would move every later report by far more than 1e-9.
+        data = 1e-4 * gen_random_stream(500, 3, seed=23)
+        data[:100, 1] = 0.0
+        assert fit_static(data[:100]).jitter_used > 0.0
+        for runner, to_end in ((run_experiment_1, False), (run_experiment_2, True)):
+            for report in runner(data):
+                split = 100 * report.static_count
+                end = 500 if to_end else split + 100
+                model = update_many(fit_static(data[:split]), data[split:end])
+                truth = np.cov(data[:end], rowvar=False, ddof=1)
+                assert report.aad == pytest.approx(aad(model.cov, truth), rel=1e-9)
+                assert report.aad_inverse == pytest.approx(
+                    aad(model.cinv, np.linalg.inv(truth)), rel=1e-9
+                )
+
+    @pytest.mark.parametrize("kind,m,bound", [("collinear", 3, 1e-5), ("rotated-scales", 15, 1e-3)])
+    def test_inverse_truth_matches_an_exact_inverse(self, kind, m, bound):
+        # Each aad_inverse against the AAD of the same online model against
+        # the 60-digit inverse of the batch covariance. Inverting the float64
+        # batch covariance is off by 100% on these streams.
+        mp = pytest.importorskip("mpmath")
+        data = awkward_stream(kind, 400, m, seed=1)
+
+        def exact_inverse(rows):
+            rows = [[mp.mpf(float(v)) for v in row] for row in rows]
+            mu = [mp.fsum(col) / len(rows) for col in zip(*rows)]
+            rows = [[v - u for v, u in zip(row, mu)] for row in rows]
+            c = mp.matrix(m, m)
+            for i in range(m):
+                for j in range(i, m):
+                    c[i, j] = c[j, i] = mp.fsum(row[i] * row[j] for row in rows) / (len(rows) - 1)
+            return np.array(mp.inverse(c).tolist(), dtype=np.float64)
+
+        with mp.workdps(60):
+            truths = {end: exact_inverse(data[:end]) for end in (160, 240, 320, 400)}
+        for runner, to_end in ((run_experiment_1, False), (run_experiment_2, True)):
+            for report in runner(data):
+                split = 80 * report.static_count
+                end = 400 if to_end else split + 80
+                model = update_many(fit_static(data[:split]), data[split:end])
+                exact = aad(model.cinv, truths[end])
+                assert abs(report.aad_inverse - exact) <= bound * exact, (kind, end)
+
+
+class TestPrefixFits:
+    """Each prefix fit, extended segment by segment, equals the fit of the
+    whole prefix from scratch."""
+
+    BOUNDS = [200, 400, 600, 800, 1003]
+
+    @staticmethod
+    def rel(got, want):
+        return float(np.abs(got - want).max() / np.abs(want).max())
+
+    @pytest.mark.parametrize("kind,m", [("iid", 1), ("iid", 3), ("iid", 15), ("heavy-tail", 15)])
+    def test_matches_fit_static(self, kind, m):
+        data = awkward_stream(kind, self.BOUNDS[-1], m, seed=1)
+        fits, times = _prefix_fits(data, self.BOUNDS)
+        assert times == sorted(times)
+        for fit, bound in zip(fits, self.BOUNDS):
+            want = fit_static(data[:bound])
+            assert fit.n == bound
+            assert fit.jitter_used == want.jitter_used == 0.0
+            assert self.rel(fit.cov, want.cov) <= 1e-12
+            assert self.rel(fit.cinv, want.cinv) <= 1e-12
+            # The mean against the data's scale, and the determinant relative.
+            assert np.abs(fit.mu - want.mu).max() <= 1e-12 * np.abs(data).max()
+            assert abs(fit.log_det - want.log_det) <= 1e-12
+            assert fit.blend == want.blend
+
+    @pytest.mark.parametrize("m", [3, 15])
+    @pytest.mark.parametrize("kind", ["rotated-scales", "collinear"])
+    def test_ill_conditioned_covariance_matches_fit_static(self, kind, m):
+        data = awkward_stream(kind, self.BOUNDS[-1], m, seed=1)
+        fits, _ = _prefix_fits(data, self.BOUNDS)
+        for fit, bound in zip(fits, self.BOUNDS):
+            assert self.rel(fit.cov, fit_static(data[:bound]).cov) <= 1e-12
 
 
 class TestGenerators:
