@@ -52,6 +52,15 @@ def oracle_aads(data, mode, n_segments=5):
     return out
 
 
+def fit_and_update(data, static_count, to_end):
+    """The online model of one report, from scratch, and the end of the
+    points it consumed."""
+    base = data.shape[0] // 5
+    split = base * static_count
+    end = data.shape[0] if to_end or static_count == 4 else split + base
+    return update_many(fit_static(data[:split]), data[split:end]), end
+
+
 class TestAad:
     def test_zero_residual(self):
         truth = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -203,9 +212,7 @@ class TestExperiments:
         assert fit_static(data[:100]).jitter_used > 0.0
         for runner, to_end in ((run_experiment_1, False), (run_experiment_2, True)):
             for report in runner(data):
-                split = 100 * report.static_count
-                end = 500 if to_end else split + 100
-                model = update_many(fit_static(data[:split]), data[split:end])
+                model, end = fit_and_update(data, report.static_count, to_end)
                 truth = np.cov(data[:end], rowvar=False, ddof=1)
                 assert report.aad == pytest.approx(aad(model.cov, truth), rel=1e-9)
                 assert report.aad_inverse == pytest.approx(
@@ -234,9 +241,7 @@ class TestExperiments:
             truths = {end: exact_inverse(data[:end]) for end in (160, 240, 320, 400)}
         for runner, to_end in ((run_experiment_1, False), (run_experiment_2, True)):
             for report in runner(data):
-                split = 80 * report.static_count
-                end = 400 if to_end else split + 80
-                model = update_many(fit_static(data[:split]), data[split:end])
+                model, end = fit_and_update(data, report.static_count, to_end)
                 exact = aad(model.cinv, truths[end])
                 assert abs(report.aad_inverse - exact) <= bound * exact, (kind, end)
 
