@@ -129,7 +129,14 @@ def _data_lines(lines, skip_header: bool, parse, err, rejected: list):
 
 
 def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=False, fmt="csv"):
-    """Core of the ``detect`` command; returns the process exit code."""
+    """Core of the ``detect`` command; returns the process exit code. A checkpoint
+    outside multivariate mode, or unsavable, raises InvalidInputError before any read."""
+    if checkpoint is not None:
+        if config.mode != "multivariate":
+            raise InvalidInputError("--checkpoint requires --mode multivariate")
+        folder, name = os.path.split(checkpoint)
+        if not name or not os.path.isdir(folder or "."):
+            raise InvalidInputError(f"--checkpoint {checkpoint!r}: cannot save a file there")
     emit = _make_emitter(out, fmt)
     rejected: list[int] = []
 
@@ -217,12 +224,6 @@ def main():
 @click.pass_context
 def detect(ctx, input_file, fmt, header, checkpoint, **settings):
     """Score a stream of points, one verdict line per scored point."""
-    if checkpoint is not None:
-        if settings["mode"] != "multivariate":
-            raise click.UsageError("--checkpoint requires --mode multivariate")
-        folder, name = os.path.split(checkpoint)
-        if not name or not os.path.isdir(folder or "."):
-            raise click.UsageError(f"--checkpoint {checkpoint!r}: cannot save a file there")
     try:
         code = run_detect(
             input_file,

@@ -7,7 +7,10 @@ is the square root of C's. One point is two outer products, the
 square-root covariance update of CMA-ES (Igel, Suttorp & Hansen 2006;
 Krause, Arbonès & Igel 2016); the log-determinant follows by the matrix
 determinant lemma, and the mean is the running sum of the absorbed points
-over their count, mean = sum / n. ``update_many`` absorbs a whole batch
+over their count, mean = sum / n. ``_extend_fit``, the one batch fit for
+``fit_static`` and the experiment's prefix fits, extends a prior fit by new
+rows in one QR, or fits all rows afresh without a prior or after one that
+needed jitter. ``update_many`` absorbs a whole batch
 in closed form, from one QR by ``linalg.cholesky_factorize``, and holds
 the one rule for refusing a point. ``update_online`` takes the two-outer-
 product step and hands every other point to ``update_many`` as a batch of
@@ -101,15 +104,12 @@ def _factored(n: int, total: np.ndarray, blend: CovBlend, jitter_used: float, ro
                          jitter_used + lam)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # huge rows overflow the moments; they are refused
 def fit_static(data) -> GaussianModel:
     """Fit the model on the initial batch: mean and unbiased covariance.
 
     ``data`` is an (n, m) array (or a sequence of length-m vectors; plain
     1-D input is treated as n scalar samples). Requires n >= m + 1 so the
-    sample covariance has full rank. A, B and the log-determinant come from
-    one QR of the centred rows over sqrt(n - 1), and the blend weights
-    derive from n.
+    sample covariance has full rank; the blend weights derive from n.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
@@ -121,11 +121,33 @@ def fit_static(data) -> GaussianModel:
     n, m = data.shape
     if n <= m:
         raise InvalidInputError(f"need at least {m + 1} samples for dimension {m}, got {n}")
+    return _extend_fit(None, data)
 
-    total = data.sum(axis=0)
-    rows = data - total / n
+
+@np.errstate(over="ignore", invalid="ignore")  # huge rows overflow the moments; they are refused
+def _extend_fit(prior: GaussianModel | None, data: np.ndarray) -> GaussianModel:
+    """The fit of the (n, m) float64 ``data`` whose first ``prior.n`` rows
+    ``prior`` fits, from one QR. With no prior, or one that needed jitter,
+    the QR is of the centred rows over sqrt(n - 1). Otherwise it adds the k
+    new rows by the pairwise update of Chan, Golub & LeVeque (1979), where
+    the scatter of the union is the two scatters plus (n1 k / n) δ δᵀ, δ the
+    difference of the two means: the QR is of sqrt((n1 - 1) s) Aᵀ, the
+    centred new rows and sqrt(n1 k / n) δ, all over sqrt(n - 1)."""
+    n = data.shape[0]
+    if prior is None or prior.jitter_used:
+        total = data.sum(axis=0)
+        rows = data - total / n
+        rows /= math.sqrt(n - 1)
+        return _factored(n, total, derive_blend(n), 0.0, rows)
+    m, k = prior.m, n - prior.n
+    new_total = data[prior.n :].sum(axis=0)
+    new_mu = new_total / k
+    rows = np.empty((m + k + 1, m))
+    np.multiply(math.sqrt((prior.n - 1) * prior.s), prior.a.T, out=rows[:m])
+    np.subtract(data[prior.n :], new_mu, out=rows[m:-1])
+    np.multiply(math.sqrt(prior.n * k / n), prior.mu - new_mu, out=rows[-1])
     rows /= math.sqrt(n - 1)
-    return _factored(n, total, derive_blend(n), 0.0, rows)
+    return _factored(n, prior.total + new_total, derive_blend(n), 0.0, rows)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a huge x overflows q or the sum

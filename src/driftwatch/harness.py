@@ -5,25 +5,25 @@ Both experiment protocols split the stream into ``N_SEGMENTS`` segments,
 fit the model on a growing static prefix, run the online updates over part
 of the rest, and score the blended covariance against the batch covariance
 of everything consumed. Each call fits the prefixes once, each extending
-the previous fit by one segment, and those fits are both the static models
-and the batch truths: a truth's inverse is Bᵀ B / s from its QR, never the
-inverse of a formed covariance. The protocols never score points between
-updates, so each online segment is absorbed by one closed-form
-``update_many`` call rather than point by point; the covariance is the
-same, and the inverse scored by ``aad_inverse`` comes from the one QR that
-factorizes the blended covariance, not from rank-one updates. ``aad`` is
-the mean absolute relative deviation over the flattened matrix entries.
+the previous fit by one segment (``detector._extend_fit``), and those fits
+are both the static models and the batch truths: a truth's inverse is the
+fit's own ``cinv``, never the inverse of a formed covariance. The
+protocols never score points between updates, so each online segment is
+absorbed by one closed-form ``update_many`` call rather than point by
+point; the covariance is the same, and the inverse scored by
+``aad_inverse`` comes from the one QR that factorizes the blended
+covariance, not from rank-one updates. ``aad`` is the mean absolute
+relative deviation over the flattened matrix entries.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import _factored, derive_blend, fit_static, update_many
+from .detector import _extend_fit, update_many
 from .errors import InvalidInputError
 
 SHIFT_ABRUPT_TRANSIENT = "abrupt-transient"
@@ -40,10 +40,9 @@ CSV_HEADER = "experiment,static_count,aad,points,seed,elapsed_ms,aad_inverse"
 class AadReport:
     """Result of one (protocol, static prefix) run.
 
-    ``aad`` scores the blended covariance, s A Aᵀ; ``aad_inverse`` scores
-    its inverse, Bᵀ B / s with B = A⁻¹ from ``update_many``'s QR. Both are
-    scored against the fit of the points consumed, its covariance and its
-    inverse Bᵀ B / s.
+    ``aad`` scores the blended covariance and ``aad_inverse`` its inverse,
+    both from ``update_many``'s QR, against the covariance and the inverse
+    of the fit of the points consumed.
     ``elapsed`` is wall-clock seconds: the cumulative time to build the
     static prefix's fit, segment by segment, plus the online phase; the
     scoring is not timed.
@@ -95,37 +94,14 @@ def aad(predicted, truth) -> float:
     return float(np.mean(np.abs((p[mask] - y[mask]) / y[mask])))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # huge rows overflow the moments; they are refused
 def _prefix_fits(data, bounds) -> tuple[list, list]:
-    """The model of each prefix ``data[:bound]``, and the cumulative seconds
-    taken to build it, segment by segment.
-
-    The first prefix is ``fit_static``. Each later one extends the previous
-    fit by the segment between the two bounds, with the pairwise update of
-    Chan, Golub & LeVeque (1979): the scatter of the union is the two
-    scatters plus (n1 n2 / n) δ δᵀ, δ the difference of the two means, so
-    one QR of m + k + 1 rows gives the new square root. A fit that needed
-    jitter is not extended, so that the jitter stays out of later prefixes;
-    the next prefix is fit from scratch.
-    """
+    """The model of each prefix ``data[:bound]``, extending the previous one
+    (``detector._extend_fit``), and the cumulative seconds taken to build it."""
     fits, times, elapsed = [], [], 0.0
     for bound in bounds:
         start = time.perf_counter()
-        prev = fits[-1] if fits else None
-        if prev is None or prev.jitter_used:
-            fit = fit_static(data[:bound])
-        else:
-            m, k = prev.m, bound - prev.n
-            seg_total = data[prev.n : bound].sum(axis=0)
-            seg_mu = seg_total / k
-            rows = np.empty((m + k + 1, m))
-            np.multiply(math.sqrt((prev.n - 1) * prev.s), prev.a.T, out=rows[:m])
-            np.subtract(data[prev.n : bound], seg_mu, out=rows[m:-1])
-            np.multiply(math.sqrt(prev.n * k / bound), prev.mu - seg_mu, out=rows[-1])
-            rows /= math.sqrt(bound - 1)
-            fit = _factored(bound, prev.total + seg_total, derive_blend(bound), 0.0, rows)
+        fits.append(_extend_fit(fits[-1] if fits else None, data[:bound]))
         elapsed += time.perf_counter() - start
-        fits.append(fit)
         times.append(elapsed)
     return fits, times
 

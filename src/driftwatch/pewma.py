@@ -40,8 +40,9 @@ class PewmaParams:
     alpha: base forgetting factor in (0, 1).
     beta: weight of the probability discount in [0, 1]; 0 recovers EWMA.
     tau: density threshold below which a point is flagged (strict).
-    warmup_T: number of leading points scored but never flagged, during
-        which the moments follow the exact running mean.
+    warmup_T: number of leading points scored but never flagged; the
+        first warmup_T - 1 of them set the exact running mean, and point
+        warmup_T already takes the density-weighted rate.
     sigma_floor: lower clamp for the standard-deviation estimate.
     """
 

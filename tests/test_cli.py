@@ -370,6 +370,26 @@ class TestDetectMultivariate:
         )
         assert result.exit_code == 2
 
+    def test_run_detect_refuses_a_univariate_checkpoint(self, tmp_path):
+        lines = iter(["1.0\n"] * 50)
+        out = io.StringIO()
+        with pytest.raises(InvalidInputError, match="requires --mode multivariate"):
+            run_detect(lines, DetectorConfig(), out, io.StringIO(),
+                       checkpoint=str(tmp_path / "x.ckpt"))
+        assert len(list(lines)) == 50
+        assert out.getvalue() == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_detect_refuses_an_unsavable_checkpoint_before_reading(self, tmp_path):
+        # Not after printing every verdict, when the save fails and the model is lost.
+        lines = iter(self.stream_text(150, 3, seed=12).splitlines(keepends=True))
+        out = io.StringIO()
+        with pytest.raises(InvalidInputError, match="cannot save a file there"):
+            run_detect(lines, DetectorConfig(mode="multivariate"), out, io.StringIO(),
+                       checkpoint=str(tmp_path / "missing" / "x.ckpt"))
+        assert len(list(lines)) == 150
+        assert out.getvalue() == ""
+
     def test_huge_point_does_not_end_the_stream(self, runner, tmp_path):
         self.check_huge_point_refused(runner, tmp_path, "1e200")
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from test_detector import awkward_stream
 
-from driftwatch.detector import fit_static, update_many, update_online
+from driftwatch.detector import fit_static, model_to_text, update_many, update_online
 from driftwatch.errors import InvalidInputError
 from driftwatch.harness import (
     CSV_HEADER,
@@ -279,6 +279,19 @@ class TestPrefixFits:
         fits, _ = _prefix_fits(data, self.BOUNDS)
         for fit, bound in zip(fits, self.BOUNDS):
             assert self.rel(fit.cov, fit_static(data[:bound]).cov) <= 1e-12
+
+    def test_fits_from_scratch_are_fit_static_bit_for_bit(self):
+        for m in (1, 15):
+            data = awkward_stream("iid", self.BOUNDS[-1], m, seed=1)
+            first = _prefix_fits(data, self.BOUNDS)[0][0]
+            assert model_to_text(first) == model_to_text(fit_static(data[: self.BOUNDS[0]]))
+        # The singular first segment of the experiment test above: its fit
+        # needs jitter, so the next prefix is fit whole rather than extended.
+        data = 1e-4 * gen_random_stream(500, 3, seed=23)
+        data[:100, 1] = 0.0
+        fits, _ = _prefix_fits(data, [100, 200, 300, 400, 500])
+        assert fits[0].jitter_used > 0.0
+        assert model_to_text(fits[1]) == model_to_text(fit_static(data[:200]))
 
 
 class TestGenerators:

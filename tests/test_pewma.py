@@ -149,6 +149,23 @@ class TestPewmaStep:
         assert scored[39].is_anomaly
         assert all(not p.is_anomaly for p in scored[: params.warmup_T - 1])
 
+    def test_warmup_mean_is_exact_through_point_t_minus_one(self):
+        # Points 1 to T - 1 set the exact running mean; point T already takes
+        # the density-weighted rate but is never flagged, and point T + 1 is.
+        params = PewmaParams(warmup_T=30)
+        t = params.warmup_T
+        stream = list(np.random.default_rng(13).standard_normal(t))
+        state, _ = run_stream(stream[: t - 1], params)
+        assert state.t == t - 1
+        assert state.mean == pytest.approx(np.mean(stream[: t - 1]), rel=1e-12)
+        state, _ = run_stream(stream, params)
+        assert state.t == t
+        assert abs(state.mean - np.mean(stream)) > 1e-3
+        for at, flagged in ((t, False), (t + 1, True)):
+            # scored[-1] is the verdict of point ``at``, the outlier.
+            _, scored = run_stream(stream[: at - 1] + [1e6], params)
+            assert scored[-1].is_anomaly is flagged
+
     def test_training_phase_tracks_exact_running_mean(self):
         rng = np.random.default_rng(9)
         params = PewmaParams(warmup_T=40)
