@@ -105,9 +105,9 @@ def _parse_scalar(text: str) -> float:
     return value
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    values = np.array(text.split(","), dtype=np.float64)
-    if not np.isfinite(values).all():
+def _parse_vector(text: str) -> list[float]:
+    values = list(map(float, text.split(",")))
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"non-finite value in {text!r}")
     return values
 
@@ -129,8 +129,11 @@ def _data_lines(lines, skip_header: bool, parse, err, rejected: list):
 
 
 def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=False, fmt="csv"):
-    """Core of the ``detect`` command; returns the process exit code. A checkpoint
-    outside multivariate mode, or unsavable, raises InvalidInputError before any read."""
+    """Core of the ``detect`` command; returns the process exit code. An unknown
+    mode, or a checkpoint outside multivariate mode or unsavable, raises
+    InvalidInputError before any read."""
+    if config.mode not in ("univariate", "multivariate"):
+        raise InvalidInputError(f"unknown mode {config.mode!r}")
     if checkpoint is not None:
         if config.mode != "multivariate":
             raise InvalidInputError("--checkpoint requires --mode multivariate")
@@ -164,24 +167,24 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
     model = None
     dim = None
     consumed = 0  # data points read, the checkpoint's count included
-    buffer: list[np.ndarray] = []
+    buffer: list[list[float]] = []
     if checkpoint is not None and os.path.exists(checkpoint):
         model, consumed = load_checkpoint(checkpoint)
         dim = model.m
 
     points = _data_lines(lines, header, _parse_vector, err, rejected)
-    for index, (line_no, x) in enumerate(points, start=consumed):
+    for index, (line_no, values) in enumerate(points, start=consumed):
         consumed = index + 1
         if dim is None:
-            dim = len(x)
-        elif len(x) != dim:
-            err.write(f"line {line_no}: fatal: dimension changed from {dim} to {len(x)}\n")
+            dim = len(values)
+        elif len(values) != dim:
+            err.write(f"line {line_no}: fatal: dimension changed from {dim} to {len(values)}\n")
             if checkpoint is not None and model is not None:  # keep what was absorbed
                 save_model(model, checkpoint, index)
             return EXIT_FATAL
 
         if model is None:
-            buffer.append(x)
+            buffer.append(values)
             if len(buffer) >= config.static_count_points:
                 try:
                     model = fit_static(np.asarray(buffer))
@@ -190,7 +193,8 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
                     return EXIT_FATAL
                 buffer.clear()
         else:
-            emit(index, x.tolist(), score(model, x, config.tau))
+            x = np.array(values)
+            emit(index, values, score(model, x, config.tau))
             model = update_online(model, x)
 
     if checkpoint is not None and model is not None:

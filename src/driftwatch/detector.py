@@ -3,16 +3,17 @@
 A model is fit on an initial batch, then updated point by point in O(m²).
 It carries the covariance as a scale s, a square root A and its inverse
 B, C = s A Aᵀ and C⁻¹ = Bᵀ B / s, so the condition number it works with
-is the square root of C's. One point is two outer products, the
-square-root covariance update of CMA-ES (Igel, Suttorp & Hansen 2006;
-Krause, Arbonès & Igel 2016); the log-determinant follows by the matrix
-determinant lemma, and the mean is the running sum of the absorbed points
-over their count, mean = sum / n. ``_extend_fit``, the one batch fit for
+is the square root of C's. A and Bᵀ are stacked in one (2m, m) array, and
+one point is one outer product on that stack, the square-root covariance
+update of CMA-ES (Igel, Suttorp & Hansen 2006; Krause, Arbonès & Igel
+2016); the log-determinant follows by the matrix determinant lemma, and the
+mean is the running sum of the absorbed points over their count,
+mean = sum / n. ``_extend_fit``, the one batch fit for
 ``fit_static`` and the experiment's prefix fits, extends a prior fit by new
 rows in one QR, or fits all rows afresh without a prior or after one that
 needed jitter. ``update_many`` absorbs a whole batch
 in closed form, from one QR by ``linalg.cholesky_factorize``, and holds
-the one rule for refusing a point. ``update_online`` takes the two-outer-
+the one rule for refusing a point. ``update_online`` takes the one-outer-
 product step and hands every other point to ``update_many`` as a batch of
 one: when drift shows, when a point's rank-one term swamps C, when the
 running sum overflows, or every ``REFACTOR_EVERY`` updates (a constant,
@@ -51,6 +52,9 @@ CHECKPOINT_VERSION = "driftwatch-model 5"
 class GaussianModel:
     """Gaussian stream model N(mu, C), with C = s A Aᵀ and B = A⁻¹.
 
+    ``root`` is the one C-ordered (2m, m) array ``[A; Bᵀ]``: both rank-one
+    terms of an update share their right vector, so one outer product
+    updates the stack. ``a`` and ``b`` are views of it, for reading only.
     ``total`` is the running sum of the ``n`` absorbed points and the mean
     is always derived from it, ``mu = total / n``; the sum is carried, not
     the mean, so one point and a batch of points share one recurrence.
@@ -67,20 +71,29 @@ class GaussianModel:
     total: np.ndarray
     mu: np.ndarray
     s: float
-    a: np.ndarray
-    b: np.ndarray
+    root: np.ndarray
     log_det: float
     blend: CovBlend
     updates_since_refactor: int = 0
     jitter_used: float = 0.0
 
     @property
+    def a(self) -> np.ndarray:
+        return self.root[: self.m]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.root[self.m :].T
+
+    @property
     def cov(self) -> np.ndarray:
-        return self.s * (self.a @ self.a.T)
+        a = self.root[: self.m]
+        return self.s * (a @ a.T)
 
     @property
     def cinv(self) -> np.ndarray:
-        return (self.b.T @ self.b) / self.s
+        bt = self.root[self.m :]
+        return (bt @ bt.T) / self.s
 
 
 def derive_blend(n_static: int) -> CovBlend:
@@ -100,8 +113,8 @@ def _factored(n: int, total: np.ndarray, blend: CovBlend, jitter_used: float, ro
     ``rowsᵀ rows``, from one QR of the rows; raises InvalidInputError where
     that fails."""
     a, b, log_det, lam = linalg.cholesky_factorize(rows)
-    return GaussianModel(total.shape[0], n, total, total / n, 1.0, a, b, log_det, blend, 0,
-                         jitter_used + lam)
+    return GaussianModel(total.shape[0], n, total, total / n, 1.0, np.concatenate((a, b.T)),
+                         log_det, blend, 0, jitter_used + lam)
 
 
 def fit_static(data) -> GaussianModel:
@@ -143,7 +156,7 @@ def _extend_fit(prior: GaussianModel | None, data: np.ndarray) -> GaussianModel:
     new_total = data[prior.n :].sum(axis=0)
     new_mu = new_total / k
     rows = np.empty((m + k + 1, m))
-    np.multiply(math.sqrt((prior.n - 1) * prior.s), prior.a.T, out=rows[:m])
+    np.multiply(math.sqrt((prior.n - 1) * prior.s), prior.root[:m].T, out=rows[:m])
     np.subtract(data[prior.n :], new_mu, out=rows[m:-1])
     np.multiply(math.sqrt(prior.n * k / n), prior.mu - new_mu, out=rows[-1])
     rows /= math.sqrt(n - 1)
@@ -156,47 +169,57 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
 
     With the residual d = x - mu against the pre-update mean, u = B d,
     q = uᵀu / s = dᵀ C⁻¹ d and gamma = beta / alpha, the covariance becomes
-    C' = alpha C + beta d dᵀ = s' A' A'ᵀ through two outer products: with
-    r = sqrt(1 + gamma q) and c = (gamma / s) / (r + 1),
+    C' = alpha C + beta d dᵀ = s' A' A'ᵀ: with r = sqrt(1 + gamma q) and
+    c = (gamma / s) / (r + 1),
 
-        A' = A + c (A u) uᵀ,   B' = B - (c / r) u (uᵀ B),   s' = alpha s,
+        A' = A + c (A u) uᵀ,   Bᵀ' = Bᵀ - (c / r)(Bᵀ u) uᵀ,   s' = alpha s.
 
-    and the log-determinant follows by the matrix determinant lemma,
+    Both terms share the right vector u, so one matvec of the stacked root
+    [A; Bᵀ] with u gives A u and Bᵀ u, and one outer product updates the
+    stack. The log-determinant follows by the matrix determinant lemma,
     log |C'| = log |C| + m log alpha + log1p(gamma q). All of it is O(m²),
     and nothing divides by q, so x at the mean (q = 0) leaves A and B as
     they were: C' = alpha C.
 
     This step is taken when fewer than ``REFACTOR_EVERY`` rank-one updates
     follow the last rebuild, gamma q eps < ``DRIFT_LIMIT`` with eps the
-    machine epsilon, the running sum with x added is finite, and the pair
-    shows no drift along d, ‖A u - d‖∞ <= ``DRIFT_LIMIT`` ‖d‖∞. Any other
-    point is ``update_many(model, x[None, :])``, which refuses it or
-    rebuilds A, B and the log-determinant exactly; a point whose rebuild is
-    rank-deficient even with jitter is refused, and the model returned.
+    machine epsilon, the entries of the running sum with x added have a
+    finite sum, and the pair shows no drift along d,
+    ‖A u - d‖₂ <= ``DRIFT_LIMIT`` ‖d‖₂ (in the ∞-norm where ‖d‖₂² overflows).
+    Any other point is ``update_many(model, x[None, :])``, which refuses it
+    or rebuilds A, B and the log-determinant exactly; a point whose rebuild
+    is rank-deficient even with jitter is refused, and the model returned.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.m:
-        raise InvalidInputError(f"expected a vector of length {model.m}, got shape {x.shape}")
+    m = model.m
+    if x.ndim != 1 or x.shape[0] != m:
+        raise InvalidInputError(f"expected a vector of length {m}, got shape {x.shape}")
+    root = model.root
     d = x - model.mu
     # ndarray.dot makes the same BLAS call as @ at half its overhead on small arrays.
-    u = model.b.dot(d)
+    u = d.dot(root[m:])
     q = float(u.dot(u)) / model.s
     alpha = model.blend.alpha
     gamma = model.blend.beta / alpha
     total = model.total + x
-    au = model.a.dot(u)
+    v = root.dot(u)  # A u, then Bᵀ u
+    e = v[:m] - d
+    dd = d.dot(d)
     updates = model.updates_since_refactor + 1
+    # A sum of finite entries that overflows only sends x to update_many.
     if (updates < REFACTOR_EVERY and gamma * q * FLOAT_EPS < DRIFT_LIMIT
-            and np.isfinite(total).all()
-            and np.abs(au - d).max() <= DRIFT_LIMIT * np.abs(d).max()):
+            and math.isfinite(total.sum())
+            and (e.dot(e) <= DRIFT_LIMIT * DRIFT_LIMIT * dd if dd < math.inf
+                 else np.abs(e).max() <= DRIFT_LIMIT * np.abs(d).max())):
         r = math.sqrt(1.0 + gamma * q)
         c = gamma / model.s / (r + 1.0)
-        a = model.a + np.multiply.outer(c * au, u)
-        b = model.b - np.multiply.outer(c / r * u, u.dot(model.b))
-        log_det = model.log_det + model.m * math.log(alpha) + math.log1p(gamma * q)
+        v[:m] *= c
+        v[m:] *= -c / r
+        log_det = model.log_det + m * math.log(alpha) + math.log1p(gamma * q)
         n = model.n + 1
-        return GaussianModel(model.m, n, total, total / n, alpha * model.s, a, b, log_det,
-                             model.blend, updates, model.jitter_used)
+        return GaussianModel(m, n, total, total / n, alpha * model.s,
+                             root + np.multiply.outer(v, u), log_det, model.blend, updates,
+                             model.jitter_used)
     # A non-finite entry fails the test above, so only here is x checked.
     if not np.isfinite(x).all():
         raise InvalidInputError("point contains non-finite entries")
@@ -238,7 +261,7 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
         raise InvalidInputError("batch contains non-finite entries")
     alpha, beta = model.blend.alpha, model.blend.beta
     with np.errstate(over="ignore", invalid="ignore"):  # huge rows overflow q or the sum; refused
-        u = (xs - model.mu) @ model.b.T
+        u = (xs - model.mu) @ model.root[m:]
         q = np.einsum("ij,ij->i", u, u) / model.s
         keep = np.isfinite(q) & (beta / alpha * q * FLOAT_EPS < 1.0)
         if not keep.all():
@@ -266,7 +289,7 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     resid /= np.arange(model.n, model.n + k, dtype=np.float64)[:, None]
     np.subtract(xs, resid, out=resid)
     resid *= (math.sqrt(beta) * alpha ** (0.5 * np.arange(k - 1, -1, -1.0)))[:, None]
-    np.multiply(math.sqrt(alpha**k * model.s), model.a.T, out=rows[:m])
+    np.multiply(math.sqrt(alpha**k * model.s), model.root[:m].T, out=rows[:m])
     # A copy, so the model keeps no view of the buffer.
     return _factored(model.n + k, sums[-1].copy(), model.blend, model.jitter_used, rows[:-1])
 
@@ -288,7 +311,7 @@ def score(model: GaussianModel, x, tau: float | None = None) -> Verdict:
     if x.ndim != 1 or x.shape[0] != model.m:
         raise InvalidInputError(f"expected a vector of length {model.m}, got shape {x.shape}")
     check_tau(tau)
-    u = model.b.dot(x - model.mu)
+    u = (x - model.mu).dot(model.root[model.m :])
     maha = float(u.dot(u)) / model.s
     if not math.isfinite(maha):
         if not np.isfinite(x).all():
@@ -431,8 +454,8 @@ def load_checkpoint(src) -> tuple[GaussianModel, int]:
                                 f"max |A B - I| = {residual:g}")
     if abs(log_det - qr_log_det) > LOG_DET_TOL + m * residual:
         raise InvalidInputError("checkpoint log-determinant does not match its square root")
-    return GaussianModel(m, n, total, total / n, s, a, b, log_det, blend, updates,
-                         jitter_used), points
+    return GaussianModel(m, n, total, total / n, s, np.concatenate((a, b.T)), log_det, blend,
+                         updates, jitter_used), points
 
 
 def model_to_text(model: GaussianModel) -> str:

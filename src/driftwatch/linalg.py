@@ -89,7 +89,7 @@ def cholesky_factorize(rows) -> tuple[np.ndarray, np.ndarray, float, float]:
         # inf fail it), and A's diagonal is exactly |Rᵢᵢ|.
         if diag.size == m and diag.min() > max(rows.shape) * FLOAT_EPS * diag.max():
             # C order, as a checkpoint reloads it: BLAS sums in memory order.
-            a = np.ascontiguousarray((r * np.sign(signs)[:, None]).T)
+            a = np.multiply(r.T, np.sign(signs), order="C")
             return a, np.linalg.inv(a), 2.0 * float(np.sum(np.log(diag))), lam
     raise InvalidInputError(f"rows are rank-deficient even with jitter {DEFAULT_JITTER:g}")
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from driftwatch.cli import DetectorConfig, detect, main, run_detect
+from driftwatch.cli import DetectorConfig, _parse_vector, detect, main, run_detect
 from driftwatch.detector import fit_static, load_checkpoint, load_model, score, update_online
 from driftwatch.errors import InvalidInputError
 from driftwatch import pewma
@@ -390,6 +390,15 @@ class TestDetectMultivariate:
         assert len(list(lines)) == 150
         assert out.getvalue() == ""
 
+    def test_run_detect_refuses_an_unknown_mode_before_reading(self):
+        # Not a silent multivariate run: the mode is matched exactly.
+        lines = iter(self.stream_text(150, 3, seed=12).splitlines(keepends=True))
+        out = io.StringIO()
+        with pytest.raises(InvalidInputError, match="unknown mode 'Univariate'"):
+            run_detect(lines, DetectorConfig(mode="Univariate"), out, io.StringIO())
+        assert len(list(lines)) == 150
+        assert out.getvalue() == ""
+
     def test_huge_point_does_not_end_the_stream(self, runner, tmp_path):
         self.check_huge_point_refused(runner, tmp_path, "1e200")
 
@@ -494,6 +503,31 @@ class TestLineReader:
             assert indices == list(range(first_index, 30)), mode
             outputs[mode] = [row.split(",")[1] for row in result.stdout.splitlines()]
         assert outputs["multivariate"] == outputs["univariate"][5:]
+
+
+    @staticmethod
+    def numpy_rule(text):
+        """Numpy's cast of the tokens, then isfinite: the reference for ``_parse_vector``."""
+        values = np.array(text.split(","), dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite value in {text!r}")
+        return values.tolist()
+
+    @pytest.mark.parametrize("text", [
+        # The benchmark's malformed tokens, then tokens where the two parsers could part.
+        "nan", "inf", "-inf", "1e999", "NaN", "abc", "1.2.3", "--1",
+        "1_0", "１", "١٢", " 2 ", "0x10", "1e", "", "True", "1j", "1,,2",
+        "1_0,１, 2 ,١٢,-0.5e-3",
+    ])
+    def test_vector_parse_matches_numpys_cast(self, text):
+        # The parsed values, or the message after "line N: skipped: ".
+        outcomes = []
+        for parse in (_parse_vector, self.numpy_rule):
+            try:
+                outcomes.append(parse(text))
+            except ValueError as exc:
+                outcomes.append(f"skipped: {exc}")
+        assert outcomes[0] == outcomes[1]
 
 
 class TestUndecodableInput:

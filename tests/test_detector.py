@@ -30,6 +30,11 @@ def fitted_model(rng, n=200, dim=3):
     return fit_static(rng.standard_normal((n, dim)))
 
 
+def stacked(a, b):
+    """The ``root`` of a model with square root ``a`` and inverse ``b``: [A; Bᵀ]."""
+    return np.concatenate((a, b.T))
+
+
 class TestDeriveBlend:
     def test_smallest_sample(self):
         blend = derive_blend(1)
@@ -127,8 +132,7 @@ class TestUpdateOnline:
             total=np.zeros(2),
             mu=np.zeros(2),
             s=1.0,
-            a=np.eye(2),
-            b=np.eye(2),
+            root=stacked(np.eye(2), np.eye(2)),
             log_det=0.0,
             blend=CovBlend(0.8, 0.2),
         )
@@ -166,7 +170,7 @@ class TestUpdateOnline:
         model = fitted_model(rng, n=50, dim=4)
         model = update_online(model, rng.standard_normal(4))
         assert model.updates_since_refactor == 1
-        drifted = replace(model, b=model.b * 1.01)
+        drifted = replace(model, root=stacked(model.a, model.b * 1.01))
         x = rng.standard_normal(4)
         updated = update_online(drifted, x)
         assert updated.updates_since_refactor == 0
@@ -195,7 +199,7 @@ class TestUpdateOnline:
         # fails.
         model = GaussianModel(
             m=2, n=100, total=np.zeros(2), mu=np.zeros(2), s=1.0,
-            a=1e20 * np.array([[1.0, 0.0], [1.0, 0.0]]), b=np.eye(2) / 1e20, log_det=0.0,
+            root=stacked(1e20 * np.array([[1.0, 0.0], [1.0, 0.0]]), np.eye(2) / 1e20), log_det=0.0,
             blend=derive_blend(100), updates_since_refactor=REFACTOR_EVERY - 1,
         )
         assert update_online(model, np.array([1e20, 1e20])) is model
@@ -851,7 +855,7 @@ class TestExactSymmetry:
                 if i == 5:  # x at the mean takes the blend too: C' = alpha C
                     x = model.mu.copy()
                 elif i == 7:  # B off A⁻¹ by 1e-3: a drift rebuild
-                    model = replace(model, b=model.b * (1.0 + 1e-3))
+                    model = replace(model, root=stacked(model.a, model.b * (1.0 + 1e-3)))
                 elif i == 9:  # gamma q eps = 1e-2 along A's first column: a swamp rebuild
                     x = model.mu + math.sqrt(model.s * 1e-2 / (gamma * FLOAT_EPS)) * model.a[:, 0]
                 new = update_online(model, x)
@@ -912,7 +916,7 @@ class TestOnePointBatch:
         if cause == "periodic":
             model = replace(model, updates_since_refactor=REFACTOR_EVERY - 1)
         elif cause == "drift":
-            model = replace(model, b=model.b * 1.01)
+            model = replace(model, root=stacked(model.a, model.b * 1.01))
         else:  # gamma q eps = 1e-2 along A's first column
             gamma = model.blend.beta / model.blend.alpha
             x = model.mu + math.sqrt(model.s * 1e-2 / (gamma * FLOAT_EPS)) * model.a[:, 0]
@@ -944,7 +948,7 @@ class TestOnePointBatch:
         # batch of one raises, and update_online refuses the point.
         model = GaussianModel(
             m=2, n=100, total=np.zeros(2), mu=np.zeros(2), s=1.0,
-            a=1e20 * np.array([[1.0, 0.0], [1.0, 0.0]]), b=np.eye(2) / 1e20, log_det=0.0,
+            root=stacked(1e20 * np.array([[1.0, 0.0], [1.0, 0.0]]), np.eye(2) / 1e20), log_det=0.0,
             blend=derive_blend(100), updates_since_refactor=REFACTOR_EVERY - 1,
         )
         x = np.array([1e20, 1e20])
@@ -957,6 +961,53 @@ class TestOnePointBatch:
         model = fitted_model(np.random.default_rng(83), n=50, dim=4)
         with pytest.raises(InvalidInputError, match="point contains non-finite entries"):
             update_online(model, np.array([0.0, value, 0.0, 0.0]))
+
+
+class TestDriftGuard:
+    """The drift test of ``update_online``, ‖A u - d‖₂ <= ``DRIFT_LIMIT`` ‖d‖₂,
+    still fires on a real stream, and holds where ‖d‖₂² overflows."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fires_on_rotated_scales(self, monkeypatch, seed):
+        # A one-row update_many call from update_online that no other rule
+        # explains: not periodic, not swamping, and the sum stays finite.
+        data = awkward_stream("rotated-scales", 5100, 3, seed)
+        rebuild_calls = []
+
+        def spy(model, xs):
+            rebuild_calls.append((model, xs))
+            return batch(model, xs)
+
+        batch = detector.update_many
+        monkeypatch.setattr(detector, "update_many", spy)
+        model = fit_static(data[:6])
+        drift = 0
+        for x in data[6:]:
+            rebuild_calls.clear()
+            new = update_online(model, x)
+            if rebuild_calls:
+                (called, xs), = rebuild_calls
+                assert called is model and xs.shape == (1, 3)
+                gamma = model.blend.beta / model.blend.alpha
+                u = model.b.dot(x - model.mu)
+                q = float(u.dot(u)) / model.s
+                drift += (model.updates_since_refactor + 1 < REFACTOR_EVERY
+                          and gamma * q * FLOAT_EPS < DRIFT_LIMIT
+                          and bool(np.isfinite(model.total + x).all()))
+            model = new
+        assert drift >= 1
+
+    def test_fires_where_the_residual_norm_overflows(self):
+        # At scale 1e150 a residual of 1e155 per entry takes the rank-one
+        # step (TestUpdateOnline), though ‖d‖₂² overflows; with B off A⁻¹
+        # by 1% the same point is a drift rebuild.
+        rng = np.random.default_rng(17)
+        model = fit_static(rng.standard_normal((100, 3)) * 1e150)
+        drifted = replace(model, root=stacked(model.a, model.b * 1.01))
+        x = model.mu + 1e155
+        assert update_online(model, x).updates_since_refactor == 1
+        updated = update_online(drifted, x)
+        assert updated.n == model.n + 1 and updated.updates_since_refactor == 0
 
 
 class TestRunningSum:
