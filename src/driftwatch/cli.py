@@ -38,7 +38,7 @@ from .harness import (
     shift_offsets,
     write_reports_csv,
 )
-from .pewma import FIRST_VERDICT, PewmaParams, check_tau, pewma_init, pewma_step
+from .pewma import FIRST_VERDICT, PewmaParams, pewma_init, pewma_step
 
 EXIT_OK = 0
 EXIT_SKIPPED_LINES = 1
@@ -130,10 +130,18 @@ def _data_lines(lines, skip_header: bool, parse, err, rejected: list):
 
 def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=False, fmt="csv"):
     """Core of the ``detect`` command; returns the process exit code. An unknown
-    mode, or a checkpoint outside multivariate mode or unsavable, raises
-    InvalidInputError before any read."""
+    mode, a setting ``PewmaParams`` refuses (in either mode), or a checkpoint
+    outside multivariate mode or unsavable, raises InvalidInputError before
+    any read."""
     if config.mode not in ("univariate", "multivariate"):
         raise InvalidInputError(f"unknown mode {config.mode!r}")
+    params = PewmaParams(
+        alpha=config.alpha,
+        beta=config.beta,
+        tau=PewmaParams.tau if config.tau is None else config.tau,
+        warmup_T=config.warmup_T,
+        sigma_floor=config.sigma_floor,
+    )
     if checkpoint is not None:
         if config.mode != "multivariate":
             raise InvalidInputError("--checkpoint requires --mode multivariate")
@@ -144,13 +152,6 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
     rejected: list[int] = []
 
     if config.mode == "univariate":
-        params = PewmaParams(
-            alpha=config.alpha,
-            beta=config.beta,
-            tau=PewmaParams.tau if config.tau is None else config.tau,
-            warmup_T=config.warmup_T,
-            sigma_floor=config.sigma_floor,
-        )
         state = None
         values = _data_lines(lines, header, _parse_scalar, err, rejected)
         for index, (_, value) in enumerate(values):
@@ -161,7 +162,6 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
             emit(index, [value], verdict)
         return EXIT_SKIPPED_LINES if rejected else EXIT_OK
 
-    check_tau(config.tau)
     if config.static_count_points < 2:
         raise InvalidInputError(f"static points must be >= 2, got {config.static_count_points}")
     model = None
@@ -199,6 +199,10 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
 
     if checkpoint is not None and model is not None:
         save_model(model, checkpoint, consumed)
+    elif checkpoint is not None and buffer:  # a resumed run would fit on later points
+        err.write(f"fatal: stream ended after {len(buffer)} of {config.static_count_points} "
+                  "static points; no checkpoint written\n")
+        return EXIT_FATAL
     return EXIT_SKIPPED_LINES if rejected else EXIT_OK
 
 

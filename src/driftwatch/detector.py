@@ -54,7 +54,7 @@ class GaussianModel:
 
     ``root`` is the one C-ordered (2m, m) array ``[A; Bᵀ]``: both rank-one
     terms of an update share their right vector, so one outer product
-    updates the stack. ``a`` and ``b`` are views of it, for reading only.
+    updates the stack. A is ``root[:m]`` and B is ``root[m:].T``.
     ``total`` is the running sum of the ``n`` absorbed points and the mean
     is always derived from it, ``mu = total / n``; the sum is carried, not
     the mean, so one point and a batch of points share one recurrence.
@@ -76,14 +76,6 @@ class GaussianModel:
     blend: CovBlend
     updates_since_refactor: int = 0
     jitter_used: float = 0.0
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.root[: self.m]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.root[self.m :].T
 
     @property
     def cov(self) -> np.ndarray:
@@ -122,15 +114,14 @@ def fit_static(data) -> GaussianModel:
 
     ``data`` is an (n, m) array (or a sequence of length-m vectors; plain
     1-D input is treated as n scalar samples). Requires n >= m + 1 so the
-    sample covariance has full rank; the blend weights derive from n.
+    sample covariance has full rank; the blend weights derive from n. The
+    QR of ``linalg.cholesky_factorize`` refuses non-finite data.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
     if data.ndim != 2:
         raise InvalidInputError(f"expected 2-D data, got shape {data.shape}")
-    if not np.isfinite(data).all():
-        raise InvalidInputError("data contains non-finite entries")
     n, m = data.shape
     if n <= m:
         raise InvalidInputError(f"need at least {m + 1} samples for dimension {m}, got {n}")
@@ -185,7 +176,8 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
     follow the last rebuild, gamma q eps < ``DRIFT_LIMIT`` with eps the
     machine epsilon, the entries of the running sum with x added have a
     finite sum, and the pair shows no drift along d,
-    ‖A u - d‖₂ <= ``DRIFT_LIMIT`` ‖d‖₂ (in the ∞-norm where ‖d‖₂² overflows).
+    ‖A u - d‖₂ <= ``DRIFT_LIMIT`` ‖d‖₂, both norms by ``math.hypot``, which
+    does not overflow where ‖d‖₂² would.
     Any other point is ``update_many(model, x[None, :])``, which refuses it
     or rebuilds A, B and the log-determinant exactly; a point whose rebuild
     is rank-deficient even with jitter is refused, and the model returned.
@@ -204,13 +196,11 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
     total = model.total + x
     v = root.dot(u)  # A u, then Bᵀ u
     e = v[:m] - d
-    dd = d.dot(d)
     updates = model.updates_since_refactor + 1
     # A sum of finite entries that overflows only sends x to update_many.
     if (updates < REFACTOR_EVERY and gamma * q * FLOAT_EPS < DRIFT_LIMIT
             and math.isfinite(total.sum())
-            and (e.dot(e) <= DRIFT_LIMIT * DRIFT_LIMIT * dd if dd < math.inf
-                 else np.abs(e).max() <= DRIFT_LIMIT * np.abs(d).max())):
+            and math.hypot(*e.tolist()) <= DRIFT_LIMIT * math.hypot(*d.tolist())):
         r = math.sqrt(1.0 + gamma * q)
         c = gamma / model.s / (r + 1.0)
         v[:m] *= c
@@ -370,7 +360,7 @@ def save_model(model: GaussianModel, dest, points: int | None = None) -> None:
         f"{model.n if points is None else points}\n"
     )
     dest.write(_fmt_row(model.total) + "\n")
-    for row in (*model.a, *model.b):
+    for row in (*model.root[: model.m], *model.root[model.m :].T):
         dest.write(_fmt_row(row) + "\n")
 
 

@@ -239,6 +239,20 @@ class TestDetectMultivariate:
         assert resumed.stdout.splitlines() == whole.stdout.splitlines()[50:]
         assert resumed.stdout.startswith("150,")
 
+    def test_checkpoint_run_ending_in_the_static_buffer_is_fatal(self, runner, tmp_path):
+        # No model to save: exit 0 would let a resumed run fit on later points
+        # and number them from 0.
+        lines = simulate(runner, "--kind", "abrupt-distributional", "--dim", "3",
+                         "--count", "300", "--seed", "1").splitlines(keepends=True)
+        ckpt = tmp_path / "model.ckpt"
+        result = runner.invoke(main, ["detect", "--mode", "multivariate", "--checkpoint",
+                                      str(ckpt)], input="".join(lines[:50]))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("fatal: stream ended after 50 of 100 static points; "
+                                 "no checkpoint written\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_insufficient_static_points_is_fatal(self, runner):
         text = self.stream_text(10, 4, seed=2)
         result = runner.invoke(
@@ -310,6 +324,16 @@ class TestDetectMultivariate:
         lines = iter(["1,2\n"] * 150)
         config = DetectorConfig(mode="multivariate", tau=-1.0)
         with pytest.raises(InvalidInputError):
+            run_detect(lines, config, io.StringIO(), io.StringIO())
+        assert len(list(lines)) == 150
+
+    @pytest.mark.parametrize("setting", [{"alpha": 7.0}, {"beta": -0.5}, {"warmup_T": -3},
+                                         {"sigma_floor": 0.0}])
+    def test_bad_pewma_setting_reads_no_line(self, setting):
+        # Every flag is checked in both modes, not only the ones a mode uses.
+        lines = iter(["1,2\n"] * 150)
+        config = DetectorConfig(mode="multivariate", **setting)
+        with pytest.raises(InvalidInputError, match="must be"):
             run_detect(lines, config, io.StringIO(), io.StringIO())
         assert len(list(lines)) == 150
 

@@ -170,7 +170,7 @@ class TestUpdateOnline:
         model = fitted_model(rng, n=50, dim=4)
         model = update_online(model, rng.standard_normal(4))
         assert model.updates_since_refactor == 1
-        drifted = replace(model, root=stacked(model.a, model.b * 1.01))
+        drifted = replace(model, root=np.concatenate((model.root[:4], model.root[4:] * 1.01)))
         x = rng.standard_normal(4)
         updated = update_online(drifted, x)
         assert updated.updates_since_refactor == 0
@@ -221,8 +221,8 @@ class TestUpdateOnline:
         assert update_online(model, model.mu + 1e160) is model
         updated = update_online(model, model.mu + 1e155)
         assert updated.n == model.n + 1 and updated.updates_since_refactor == 1
-        assert np.isfinite(updated.a).all() and np.isfinite(updated.b).all()
-        assert not np.array_equal(updated.a, model.a)
+        assert np.isfinite(updated.root).all()
+        assert not np.array_equal(updated.root[:3], model.root[:3])
         assert math.isfinite(score(updated, rng.standard_normal(3) * 1e150).mahalanobis_sq)
 
     def test_does_not_mutate_argument(self):
@@ -231,9 +231,9 @@ class TestUpdateOnline:
         model = replace(model, updates_since_refactor=REFACTOR_EVERY - 2)
         counters = []
         for x in (model.mu.copy(), *rng.standard_normal((3, 4))):  # blend, rebuild, blend, blend
-            before = [a.copy() for a in (model.total, model.mu, model.a, model.b)]
+            before = [a.copy() for a in (model.total, model.mu, model.root)]
             updated = update_online(model, x)
-            for a, b in zip((model.total, model.mu, model.a, model.b), before):
+            for a, b in zip((model.total, model.mu, model.root), before):
                 np.testing.assert_array_equal(a, b)
             counters.append(updated.updates_since_refactor)
             model = updated
@@ -368,7 +368,7 @@ class TestBatchBuffers:
     @staticmethod
     def check_untouched(xs, before, model):
         assert xs.tobytes() == before.tobytes()
-        for arr in (model.total, model.mu, model.a, model.b):
+        for arr in (model.total, model.mu, model.root):
             assert not np.shares_memory(arr, xs)
         # The sum owns its memory, so the model keeps no view of a buffer.
         assert model.total.flags.owndata
@@ -572,8 +572,7 @@ class TestCheckpoint:
         loaded = load_model(io.StringIO(text))
         assert model_to_text(loaded) == text
         np.testing.assert_array_equal(loaded.mu, model.mu)
-        np.testing.assert_array_equal(loaded.a, model.a)
-        np.testing.assert_array_equal(loaded.b, model.b)
+        np.testing.assert_array_equal(loaded.root, model.root)
         assert loaded.s == model.s
         assert loaded.m == model.m and loaded.n == model.n
         assert loaded.log_det == pytest.approx(model.log_det, rel=1e-12)
@@ -601,8 +600,7 @@ class TestCheckpoint:
         save_model(model, path, points=57)
         loaded, points = load_checkpoint(path)
         assert points == 57
-        np.testing.assert_array_equal(loaded.a, model.a)
-        np.testing.assert_array_equal(loaded.b, model.b)
+        np.testing.assert_array_equal(loaded.root, model.root)
         assert load_checkpoint(io.StringIO(model_to_text(model)))[1] == model.n
 
     def test_truncated_checkpoint_rejected(self):
@@ -855,12 +853,14 @@ class TestExactSymmetry:
                 if i == 5:  # x at the mean takes the blend too: C' = alpha C
                     x = model.mu.copy()
                 elif i == 7:  # B off A⁻¹ by 1e-3: a drift rebuild
-                    model = replace(model, root=stacked(model.a, model.b * (1.0 + 1e-3)))
+                    model = replace(model, root=np.concatenate((model.root[:m],
+                                                                model.root[m:] * (1.0 + 1e-3))))
                 elif i == 9:  # gamma q eps = 1e-2 along A's first column: a swamp rebuild
-                    x = model.mu + math.sqrt(model.s * 1e-2 / (gamma * FLOAT_EPS)) * model.a[:, 0]
+                    step = math.sqrt(model.s * 1e-2 / (gamma * FLOAT_EPS))
+                    x = model.mu + step * model.root[:m, 0]
                 new = update_online(model, x)
                 if i == 5:
-                    assert np.array_equal(new.a, model.a) and np.array_equal(new.b, model.b)
+                    assert np.array_equal(new.root, model.root)
                     assert new.s == model.blend.alpha * model.s
                 if new is model:
                     paths.add("refused")
@@ -896,7 +896,8 @@ class TestAdmission:
                 new = update_online(folded, x)
                 # Refused leaves the whole model, mean included, as it was;
                 # admitted takes the blend, never the mean and count alone.
-                assert new is folded or (new.n == folded.n + 1 and new.a is not folded.a), kind
+                assert new is folded or (new.n == folded.n + 1
+                                         and new.root is not folded.root), kind
                 folded = new
             batched = update_many(model, online)
             assert batched.n == folded.n, kind
@@ -916,10 +917,10 @@ class TestOnePointBatch:
         if cause == "periodic":
             model = replace(model, updates_since_refactor=REFACTOR_EVERY - 1)
         elif cause == "drift":
-            model = replace(model, root=stacked(model.a, model.b * 1.01))
+            model = replace(model, root=np.concatenate((model.root[:4], model.root[4:] * 1.01)))
         else:  # gamma q eps = 1e-2 along A's first column
             gamma = model.blend.beta / model.blend.alpha
-            x = model.mu + math.sqrt(model.s * 1e-2 / (gamma * FLOAT_EPS)) * model.a[:, 0]
+            x = model.mu + math.sqrt(model.s * 1e-2 / (gamma * FLOAT_EPS)) * model.root[:4, 0]
         return model, x
 
     @pytest.mark.parametrize("cause", ["periodic", "drift", "swamp"])
@@ -989,7 +990,7 @@ class TestDriftGuard:
                 (called, xs), = rebuild_calls
                 assert called is model and xs.shape == (1, 3)
                 gamma = model.blend.beta / model.blend.alpha
-                u = model.b.dot(x - model.mu)
+                u = (x - model.mu).dot(model.root[3:])
                 q = float(u.dot(u)) / model.s
                 drift += (model.updates_since_refactor + 1 < REFACTOR_EVERY
                           and gamma * q * FLOAT_EPS < DRIFT_LIMIT
@@ -1003,7 +1004,7 @@ class TestDriftGuard:
         # by 1% the same point is a drift rebuild.
         rng = np.random.default_rng(17)
         model = fit_static(rng.standard_normal((100, 3)) * 1e150)
-        drifted = replace(model, root=stacked(model.a, model.b * 1.01))
+        drifted = replace(model, root=np.concatenate((model.root[:3], model.root[3:] * 1.01)))
         x = model.mu + 1e155
         assert update_online(model, x).updates_since_refactor == 1
         updated = update_online(drifted, x)
