@@ -253,7 +253,7 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     with np.errstate(over="ignore", invalid="ignore"):  # huge rows overflow q or the sum; refused
         u = (xs - model.mu) @ model.root[m:]
         q = np.einsum("ij,ij->i", u, u) / model.s
-        keep = np.isfinite(q) & (beta / alpha * q * FLOAT_EPS < 1.0)
+        keep = beta / alpha * q * FLOAT_EPS < 1.0  # NaN and inf fail it
         if not keep.all():
             xs = xs[keep]
         k = xs.shape[0]

@@ -89,9 +89,12 @@ def aad(predicted, truth) -> float:
     p = predicted.ravel()
     y = truth.ravel()
     mask = np.abs(y) > TRUTH_EPSILON
-    if not mask.any():
-        raise InvalidInputError("every ground-truth entry is within 1e-12 of zero")
-    return float(np.mean(np.abs((p[mask] - y[mask]) / y[mask])))
+    if not mask.all():
+        if not mask.any():
+            raise InvalidInputError("every ground-truth entry is within 1e-12 of zero")
+        p, y = p[mask], y[mask]
+    rel = np.abs((p - y) / y)
+    return float(np.add.reduce(rel) / rel.size)
 
 
 def _prefix_fits(data, bounds) -> tuple[list, list]:

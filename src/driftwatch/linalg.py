@@ -13,6 +13,7 @@ arrays, so values can be shared across threads freely.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ DEFAULT_JITTER = 1e-10
 DEGENERATE_NORM_SQ = 1e-30
 SINGULAR_DENOMINATOR = 1e-12
 FLOAT_EPS = float(np.finfo(np.float64).eps)
+_triu_indices = functools.cache(np.triu_indices)
 
 
 @dataclass(frozen=True)
@@ -64,33 +66,36 @@ def cholesky_factorize(rows) -> tuple[np.ndarray, np.ndarray, float, float]:
 
     Returns ``(a, b, log_det, lam)``: ``a`` is lower-triangular with a positive
     diagonal and ``a @ a.T == C + lam * I``, ``b`` is ``a⁻¹`` and ``log_det``
-    is ``log |C + lam I| = 2 Σ log aᵢᵢ``. ``rows`` is a (k, m) array. A
-    diagonal entry of R at or below ``max(k, m) * eps * max |Rⱼⱼ|`` (numpy's
-    ``matrix_rank`` tolerance) counts as rank-deficient; ``lam`` is 0 unless
-    that happens, when the QR is taken once more with ``sqrt(DEFAULT_JITTER) * I``
-    stacked under the rows and ``lam`` is ``DEFAULT_JITTER``.
+    is ``log |C + lam I| = 2 Σ log aᵢᵢ``. ``rows`` is a (k, m) array. R is
+    read from the raw QR, LAPACK's ``geqrf`` output transposed: Rᵀ is its
+    lower triangle, and the reflectors above it are zeroed. A diagonal entry
+    of R at or below ``max(k, m) * eps * max |Rⱼⱼ|`` (numpy's ``matrix_rank``
+    tolerance) counts as rank-deficient; ``lam`` is 0 unless that happens,
+    when the QR is taken once more with ``sqrt(DEFAULT_JITTER) * I`` stacked
+    under the rows and ``lam`` is ``DEFAULT_JITTER``.
 
-    Raises InvalidInputError for input that is not 2-D or not finite, and
-    when the rows are still rank-deficient with the jitter.
+    Raises InvalidInputError for input that is not 2-D, has no columns or is
+    not finite, and when the rows are still rank-deficient with the jitter.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise InvalidInputError(f"rows must be a 2-D array, got shape {rows.shape}")
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise InvalidInputError(f"rows must be a 2-D array with columns, got shape {rows.shape}")
     if not np.isfinite(rows).all():
         raise InvalidInputError("rows contain non-finite entries")
     m = rows.shape[1]
     for lam in (0.0, DEFAULT_JITTER):
         if lam:
             rows = np.vstack([rows, math.sqrt(lam) * np.eye(m)])
-        r = np.linalg.qr(rows, mode="r")
-        signs = np.diag(r)
+        rt = np.linalg.qr(rows, mode="raw")[0][:, :m]
+        signs = rt.diagonal()
         diag = np.abs(signs)
         # Passing this test makes the diagonal finite and positive (NaN and
         # inf fail it), and A's diagonal is exactly |Rᵢᵢ|.
         if diag.size == m and diag.min() > max(rows.shape) * FLOAT_EPS * diag.max():
+            rt[_triu_indices(m, 1)] = 0.0
             # C order, as a checkpoint reloads it: BLAS sums in memory order.
-            a = np.multiply(r.T, np.sign(signs), order="C")
-            return a, np.linalg.inv(a), 2.0 * float(np.sum(np.log(diag))), lam
+            a = np.multiply(rt, np.sign(signs), order="C")
+            return a, np.linalg.inv(a), 2.0 * float(np.add.reduce(np.log(diag))), lam
     raise InvalidInputError(f"rows are rank-deficient even with jitter {DEFAULT_JITTER:g}")
 
 

@@ -97,6 +97,10 @@ class TestFitStatic:
         with pytest.raises(InvalidInputError, match="expected 2-D data"):
             fit_static(np.zeros((10, 2, 2)))
 
+    def test_zero_columns_rejected(self):
+        with pytest.raises(InvalidInputError, match="with columns"):
+            fit_static(np.zeros((5, 0)))
+
     def test_one_dimensional_input(self):
         model = fit_static(np.array([-1.0, 0.0, 1.0]))
         assert model.m == 1

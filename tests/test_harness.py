@@ -85,9 +85,22 @@ class TestAad:
         predicted = np.array([1.1, 123.0, 2.2])
         assert aad(predicted, truth) == pytest.approx(0.1, rel=1e-12)
 
+    @pytest.mark.parametrize("zeros", [0, 1, 7])
+    def test_equals_the_masked_mean(self, zeros):
+        rng = np.random.default_rng(zeros)
+        truth = rng.uniform(-3.0, 3.0, size=(6, 5))
+        truth.flat[rng.permutation(truth.size)[:zeros]] = rng.choice([0.0, 1e-13, -1e-12], zeros)
+        predicted = truth + rng.standard_normal(truth.shape) * 0.1
+        p, y = predicted.ravel(), truth.ravel()
+        mask = np.abs(y) > 1e-12
+        assert mask.sum() == y.size - zeros
+        assert aad(predicted, truth) == float(np.mean(np.abs((p[mask] - y[mask]) / y[mask])))
+
     def test_all_entries_skipped_raises(self):
         with pytest.raises(InvalidInputError, match="within 1e-12 of zero"):
             aad(np.ones(3), np.zeros(3))
+        with pytest.raises(InvalidInputError, match="within 1e-12 of zero"):
+            aad(np.ones(3), np.array([1e-12, -1e-12, 5e-13]))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(InvalidInputError):
@@ -182,6 +195,10 @@ class TestExperiments:
         with pytest.raises(InvalidInputError, match="79 points cannot fill 5 segments of 16 rows"):
             runner(gen_random_stream(79, 15, seed=1))
         assert len(runner(gen_random_stream(80, 15, seed=1))) == 4
+
+    def test_zero_columns_raise_the_package_error(self):
+        with pytest.raises(InvalidInputError, match="with columns"):
+            run_experiment_1(np.zeros((100, 0)))
 
     def test_one_dimensional_data_is_one_column(self):
         data = gen_random_stream(60, 1, seed=2)

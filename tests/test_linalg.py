@@ -81,6 +81,11 @@ class TestCholeskyFactorize:
         with pytest.raises(InvalidInputError):
             cholesky_factorize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_rejects_zero_columns(self, k):
+        with pytest.raises(InvalidInputError, match="with columns"):
+            cholesky_factorize(np.zeros((k, 0)))
+
     def test_spd_reconstruction_property(self):
         rng = np.random.default_rng(7)
         for trial in range(200):
@@ -94,6 +99,57 @@ class TestCholeskyFactorize:
             assert np.linalg.norm(a @ a.T - c) / np.linalg.norm(c) < 1e-9
             assert np.abs(a @ b - np.eye(dim)).max() < 1e-9
             assert log_det == pytest.approx(np.linalg.slogdet(c)[1], abs=1e-9)
+
+
+def reference_factorize(rows):
+    """The kernel as formulated from ``np.linalg.qr(mode="r")``, ``np.diag``
+    and ``np.sum``, which the raw QR path must match bit for bit."""
+    m = rows.shape[1]
+    for lam in (0.0, 1e-10):
+        if lam:
+            rows = np.vstack([rows, math.sqrt(lam) * np.eye(m)])
+        r = np.linalg.qr(rows, mode="r")
+        signs = np.diag(r)
+        diag = np.abs(signs)
+        if diag.size == m and diag.min() > max(rows.shape) * np.finfo(float).eps * diag.max():
+            a = np.multiply(r.T, np.sign(signs), order="C")
+            return a, np.linalg.inv(a), 2.0 * float(np.sum(np.log(diag))), lam
+    raise AssertionError("reference failed to factorize")
+
+
+class TestBitIdentity:
+    """``cholesky_factorize`` equals the ``mode="r"`` formulation exactly,
+    down to the sign bits of the zeros above A's diagonal."""
+
+    @staticmethod
+    def assert_same_bits(rows):
+        got, want = cholesky_factorize(rows), reference_factorize(rows)
+        for x, y in zip(got[:2], want[:2]):
+            assert np.array_equal(x, y)
+            assert np.array_equal(np.signbit(x), np.signbit(y))
+            assert x.flags.c_contiguous and y.flags.c_contiguous
+        assert got[2:] == want[2:]
+        return got[3]
+
+    def test_scaled_random_rows(self):
+        rng = np.random.default_rng(23)
+        negative_zeros = 0
+        for trial in range(300):
+            m = 1 + trial % 20
+            scales = np.logspace(-5, 5, m)[rng.permutation(m)]
+            rows = rng.standard_normal((m + 1 + trial % 7, m)) * scales
+            assert self.assert_same_bits(rows) == 0.0
+            negative_zeros += int(np.signbit(np.triu(cholesky_factorize(rows)[0], 1)).sum())
+        assert negative_zeros > 0  # the sign bits above the diagonal are exercised
+
+    def test_rank_deficient_rows_take_the_jitter_step(self):
+        column = np.random.default_rng(24).standard_normal(12)
+        rows = np.column_stack([column, -2.0 * column, np.ones(12)])
+        assert self.assert_same_bits(rows) == 1e-10
+
+    def test_fewer_rows_than_columns(self):
+        rows = np.random.default_rng(25).standard_normal((3, 6))
+        assert self.assert_same_bits(rows) == 1e-10
 
 
 class TestFactorRankOneUpdate:
