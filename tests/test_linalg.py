@@ -129,7 +129,7 @@ class TestBitIdentity:
             assert np.array_equal(np.signbit(x), np.signbit(y))
             assert x.flags.c_contiguous and y.flags.c_contiguous
         assert got[2:] == want[2:]
-        return got[3]
+        return got
 
     def test_scaled_random_rows(self):
         rng = np.random.default_rng(23)
@@ -138,18 +138,19 @@ class TestBitIdentity:
             m = 1 + trial % 20
             scales = np.logspace(-5, 5, m)[rng.permutation(m)]
             rows = rng.standard_normal((m + 1 + trial % 7, m)) * scales
-            assert self.assert_same_bits(rows) == 0.0
-            negative_zeros += int(np.signbit(np.triu(cholesky_factorize(rows)[0], 1)).sum())
+            a, _, _, lam = self.assert_same_bits(rows)
+            assert lam == 0.0
+            negative_zeros += int(np.signbit(np.triu(a, 1)).sum())
         assert negative_zeros > 0  # the sign bits above the diagonal are exercised
 
     def test_rank_deficient_rows_take_the_jitter_step(self):
         column = np.random.default_rng(24).standard_normal(12)
         rows = np.column_stack([column, -2.0 * column, np.ones(12)])
-        assert self.assert_same_bits(rows) == 1e-10
+        assert self.assert_same_bits(rows)[3] == 1e-10
 
     def test_fewer_rows_than_columns(self):
         rows = np.random.default_rng(25).standard_normal((3, 6))
-        assert self.assert_same_bits(rows) == 1e-10
+        assert self.assert_same_bits(rows)[3] == 1e-10
 
 
 class TestFactorRankOneUpdate:
