@@ -4,9 +4,10 @@ Univariate streams go through the probability-weighted moving-average
 detector in ``pewma``; multivariate streams through the online Gaussian
 model in ``detector``, which carries its covariance as a scaled square
 root and that root's inverse, updates both in O(m²) per point, and
-rebuilds them with the QR kernel in ``linalg``. ``harness``
-holds the metric, the experiment protocols, and the synthetic generators;
-``cli`` exposes everything as the ``driftwatch`` command.
+rebuilds them with the QR kernel in ``linalg``. ``harness`` holds the
+metric, the experiment protocols, and the synthetic generators; ``cli``
+exposes everything as the ``driftwatch`` command. numpy loads on the first
+multivariate call: univariate ``detect`` needs only the standard library and click.
 """
 
 from .errors import InvalidInputError

@@ -19,8 +19,8 @@ import sys
 from dataclasses import dataclass
 
 import click
-import numpy as np
 
+from ._numpy import LazyNumpy
 from .detector import (
     fit_static,
     load_checkpoint,
@@ -40,6 +40,7 @@ from .harness import (
 )
 from .pewma import FIRST_VERDICT, PewmaParams, pewma_init, pewma_step
 
+np = LazyNumpy(__name__)
 EXIT_OK = 0
 EXIT_SKIPPED_LINES = 1
 EXIT_FATAL = 2
@@ -130,11 +131,13 @@ def _data_lines(lines, skip_header: bool, parse, err, rejected: list):
 
 def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=False, fmt="csv"):
     """Core of the ``detect`` command; returns the process exit code. An unknown
-    mode, a setting ``PewmaParams`` refuses (in either mode), or a checkpoint
-    outside multivariate mode or unsavable, raises InvalidInputError before
-    any read."""
+    mode or ``fmt``, a setting ``PewmaParams`` refuses (in either mode), or a
+    checkpoint outside multivariate mode or unsavable, raises InvalidInputError
+    before any read."""
     if config.mode not in ("univariate", "multivariate"):
         raise InvalidInputError(f"unknown mode {config.mode!r}")
+    if fmt not in ("csv", "jsonl"):
+        raise InvalidInputError(f"unknown format {fmt!r}")
     params = PewmaParams(
         alpha=config.alpha,
         beta=config.beta,

@@ -33,20 +33,19 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
+from ._numpy import LazyNumpy, errstate
 from .errors import InvalidInputError
 from .linalg import FLOAT_EPS, CovBlend
 from .pewma import Verdict, check_tau
 
+np = LazyNumpy(__name__)
 LOG_2PI = math.log(2.0 * math.pi)
 DRIFT_LIMIT = 1e-4
 REFACTOR_EVERY = 256
 LOG_DET_TOL = 1e-6
 MAHALANOBIS_SQ_LIMIT = 9.0
 CHECKPOINT_VERSION = "driftwatch-model 5"
-
 
 @dataclass(slots=True)
 class GaussianModel:
@@ -128,7 +127,7 @@ def fit_static(data) -> GaussianModel:
     return _extend_fit(None, data)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # huge rows overflow the moments; they are refused
+@errstate(over="ignore", invalid="ignore")  # huge rows overflow the moments; they are refused
 def _extend_fit(prior: GaussianModel | None, data: np.ndarray) -> GaussianModel:
     """The fit of the (n, m) float64 ``data`` whose first ``prior.n`` rows
     ``prior`` fits, from one QR. With no prior, or one that needed jitter,
@@ -154,7 +153,7 @@ def _extend_fit(prior: GaussianModel | None, data: np.ndarray) -> GaussianModel:
     return _factored(n, prior.total + new_total, derive_blend(n), 0.0, rows)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a huge x overflows q or the sum
+@errstate(over="ignore", invalid="ignore")  # a huge x overflows q or the sum
 def update_online(model: GaussianModel, x) -> GaussianModel:
     """Absorb one point: blend the covariance, update the mean.
 
@@ -284,7 +283,7 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     return _factored(model.n + k, sums[-1].copy(), model.blend, model.jitter_used, rows[:-1])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a huge x scores d² = inf
+@errstate(over="ignore", invalid="ignore")  # a huge x scores d² = inf
 def score(model: GaussianModel, x, tau: float | None = None) -> Verdict:
     """Gaussian-density verdict for one vector against the current model.
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import LazyNumpy
 from .detector import _extend_fit, update_many
 from .errors import InvalidInputError
 
+np = LazyNumpy(__name__)
 SHIFT_ABRUPT_TRANSIENT = "abrupt-transient"
 SHIFT_ABRUPT_DISTRIBUTIONAL = "abrupt-distributional"
 SHIFT_GRADUAL = "gradual-distributional"

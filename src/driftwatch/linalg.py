@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import LazyNumpy
 from .errors import InvalidInputError
 
+np = LazyNumpy(__name__)
 DEFAULT_JITTER = 1e-10
 DEGENERATE_NORM_SQ = 1e-30
 SINGULAR_DENOMINATOR = 1e-12
-FLOAT_EPS = float(np.finfo(np.float64).eps)
-_triu_indices = functools.cache(np.triu_indices)
+FLOAT_EPS = sys.float_info.epsilon
+_triu_indices = functools.cache(lambda m: np.triu_indices(m, 1))
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def cholesky_factorize(rows) -> tuple[np.ndarray, np.ndarray, float, float]:
         # Passing this test makes the diagonal finite and positive (NaN and
         # inf fail it), and A's diagonal is exactly |Rᵢᵢ|.
         if diag.size == m and diag.min() > max(rows.shape) * FLOAT_EPS * diag.max():
-            rt[_triu_indices(m, 1)] = 0.0
+            rt[_triu_indices(m)] = 0.0
             # C order, as a checkpoint reloads it: BLAS sums in memory order.
             a = np.multiply(rt, np.sign(signs), order="C")
             return a, np.linalg.inv(a), 2.0 * float(np.add.reduce(np.log(diag))), lam

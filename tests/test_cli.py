@@ -2,7 +2,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,6 +427,17 @@ class TestDetectMultivariate:
         assert len(list(lines)) == 150
         assert out.getvalue() == ""
 
+    @pytest.mark.parametrize("mode", ["univariate", "multivariate"])
+    @pytest.mark.parametrize("fmt", ["json", "CSV", ""])
+    def test_run_detect_refuses_an_unknown_format_before_reading(self, mode, fmt):
+        # Not a silent CSV run: only "csv" and "jsonl" are formats.
+        lines = iter(["1.0\n"] * 50)
+        out = io.StringIO()
+        with pytest.raises(InvalidInputError, match=f"unknown format {fmt!r}"):
+            run_detect(lines, DetectorConfig(mode=mode), out, io.StringIO(), fmt=fmt)
+        assert len(list(lines)) == 50
+        assert out.getvalue() == ""
+
     def test_huge_point_does_not_end_the_stream(self, runner, tmp_path):
         self.check_huge_point_refused(runner, tmp_path, "1e200")
 
@@ -574,6 +589,33 @@ class TestUndecodableInput:
         assert len(result.stderr.splitlines()) == 1
         assert result.stdout == clean.stdout
         assert int(result.stdout.split(",", 1)[0]) == first_index
+
+
+class TestNumpyOnFirstUse:
+    # A fresh interpreter, warnings as errors: univariate detect never loads
+    # numpy, and the first multivariate call loads it and scores a point whose
+    # d² overflows under the errstate scope that call builds.
+    SCRIPT = """
+import io, sys
+import driftwatch, driftwatch.cli as cli
+out = io.StringIO()
+code = cli.run_detect(["1\\n", "x\\n", "2\\n"], cli.DetectorConfig(), out, io.StringIO())
+assert code == 1 and len(out.getvalue().splitlines()) == 2, (code, out.getvalue())
+assert "numpy" not in sys.modules
+out = io.StringIO()
+config = cli.DetectorConfig(mode="multivariate", static_count_points=3)
+lines = ["1,2\\n", "2,1\\n", "0,0\\n", "1e300,1e300\\n"]
+code = cli.run_detect(lines, config, out, io.StringIO())
+assert code == 0 and out.getvalue().endswith(",true\\n"), (code, out.getvalue())
+"""
+
+    def test_univariate_detect_leaves_numpy_unloaded(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run([sys.executable, "-W", "error", "-c", self.SCRIPT],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
 
 
 class TestNoTraceback:
