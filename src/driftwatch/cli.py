@@ -3,10 +3,10 @@
 ``detect`` scores points read one per line (CSV numbers; a single number in
 univariate mode), ``simulate`` emits synthetic streams with configurable
 signal changes, and ``experiment`` runs the segmented static-vs-online
-covariance protocols and prints their report CSV. CSV numbers carry 17
-significant digits and JSONL numbers Python's shortest round-trip repr, so
-downstream parsing recovers the exact float64 values; JSONL writes a
-non-finite score as null.
+covariance protocols and prints their report CSV. A CSV verdict echoes a line
+of plain JSON numbers as written and writes other points, and the scores, at
+17 significant digits; JSONL writes Python's shortest round-trip repr. Both
+parse back to the exact float64 values; JSONL writes a non-finite score as null.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -68,10 +69,11 @@ def _row_format(count: int) -> str:
     return ",".join(["%.17g"] * count)
 
 
-@functools.cache
-def _verdict_format(width: int) -> str:
-    """The CSV verdict line of a point of ``width`` values."""
-    return "%d," + _row_format(width + 2) + ",%s\n"
+# A point written as JSON numbers (RFC 8259 section 6) is echoed as written.
+# Other text float() takes (1_0, +.5, 1., 01, non-ASCII digits: hence [0-9],
+# not \d) is re-formatted. No possessive quantifiers: Python 3.10 lacks them.
+_JSON_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_PLAIN_NUMBERS = re.compile(f"{_JSON_NUMBER}(?:,{_JSON_NUMBER})*")
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -82,7 +84,7 @@ def _finite_or_none(value: float) -> float | None:
 def _make_emitter(out, fmt: str):
     if fmt == "jsonl":
 
-        def emit(index, values, verdict):
+        def emit(index, text, values, verdict):
             record = {"index": index, "values": values,
                       "score": _finite_or_none(verdict.density),
                       "log_score": _finite_or_none(verdict.log_density),
@@ -91,10 +93,12 @@ def _make_emitter(out, fmt: str):
 
     else:
 
-        def emit(index, values, verdict):
+        def emit(index, text, values, verdict):
             flag = "true" if verdict.is_anomaly else "false"
-            out.write(_verdict_format(len(values))
-                      % (index, *values, verdict.density, verdict.log_density, flag))
+            if not _PLAIN_NUMBERS.fullmatch(text):
+                text = _row_format(len(values)) % tuple(values)
+            out.write("%d,%s,%.17g,%.17g,%s\n"
+                      % (index, text, verdict.density, verdict.log_density, flag))
 
     return emit
 
@@ -114,8 +118,8 @@ def _parse_vector(text: str) -> list[float]:
 
 
 def _data_lines(lines, skip_header: bool, parse, err, rejected: list):
-    """Yield (line_no, parse(text)) past the header and blank lines; report each
-    line ``parse`` rejects on ``err`` and append its number to ``rejected``."""
+    """Yield (line_no, stripped text, parse(text)) past the header and blank lines;
+    report each line ``parse`` rejects on ``err`` and append its number to ``rejected``."""
     for line_no, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or (skip_header and line_no == 1):
@@ -126,7 +130,7 @@ def _data_lines(lines, skip_header: bool, parse, err, rejected: list):
             err.write(f"line {line_no}: skipped: {exc}\n")
             rejected.append(line_no)
             continue
-        yield line_no, value
+        yield line_no, text, value
 
 
 def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=False, fmt="csv"):
@@ -157,12 +161,12 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
     if config.mode == "univariate":
         state = None
         values = _data_lines(lines, header, _parse_scalar, err, rejected)
-        for index, (_, value) in enumerate(values):
+        for index, (_, text, value) in enumerate(values):
             if state is None:
                 state, verdict = pewma_init(value, params), FIRST_VERDICT
             else:
                 state, verdict = pewma_step(state, value, params)
-            emit(index, [value], verdict)
+            emit(index, text, [value], verdict)
         return EXIT_SKIPPED_LINES if rejected else EXIT_OK
 
     if config.static_count_points < 2:
@@ -176,7 +180,7 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
         dim = model.m
 
     points = _data_lines(lines, header, _parse_vector, err, rejected)
-    for index, (line_no, values) in enumerate(points, start=consumed):
+    for index, (line_no, text, values) in enumerate(points, start=consumed):
         consumed = index + 1
         if dim is None:
             dim = len(values)
@@ -197,7 +201,7 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
                 buffer.clear()
         else:
             x = np.array(values)
-            emit(index, values, score(model, x, config.tau))
+            emit(index, text, values, score(model, x, config.tau))
             model = update_online(model, x)
 
     if checkpoint is not None and model is not None:

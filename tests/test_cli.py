@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from driftwatch.cli import DetectorConfig, _parse_vector, detect, main, run_detect
+from driftwatch.cli import (
+    _PLAIN_NUMBERS,
+    DetectorConfig,
+    _parse_vector,
+    detect,
+    main,
+    run_detect,
+)
 from driftwatch.detector import fit_static, load_checkpoint, load_model, score, update_online
 from driftwatch.errors import InvalidInputError
 from driftwatch import pewma
@@ -661,7 +668,9 @@ class TestNoTraceback:
 
 class TestOutputContract:
     """Every verdict line equals a fold of the library calls, formatted value
-    by value: 17 significant digits in CSV, ``json.dumps`` in JSONL."""
+    by value: 17 significant digits in CSV, ``json.dumps`` in JSONL. The CSV
+    echoes each point's text, which here is 17-digit text already
+    (``TestEchoedText`` covers other text)."""
 
     @staticmethod
     def line(fmt, index, values, density, log_score, flag):
@@ -718,6 +727,105 @@ class TestOutputContract:
                                       point.is_anomaly))
         assert any(row.endswith(("true\n", "true}\n")) for row in expected)
         assert result.stdout == "".join(expected)
+
+
+class TestEchoedText:
+    """A CSV verdict echoes a point's line as written when the line is plain
+    JSON numbers (RFC 8259) separated by commas, and writes the whole point
+    at 17 significant digits otherwise. Either way each value field parses
+    back to the float that was scored; JSONL and checkpoints do not depend on
+    how the input was written."""
+
+    FORMS = {
+        "repr": lambda row: [repr(v) for v in row],
+        "17g": lambda row: [f"{v:.17g}" for v in row],
+        "mixed": lambda row: [repr(v) if i % 2 else f"{v:.17g}" for i, v in enumerate(row)],
+    }
+
+    @staticmethod
+    def rows(count, dim, seed):
+        rows = gen_random_stream(count, dim, seed)
+        rows[::5] *= 1e-9  # exponents: repr and %.17g write these differently
+        return rows.tolist()
+
+    @pytest.mark.parametrize("form", ["repr", "17g", "mixed"])
+    @pytest.mark.parametrize("mode,dim,first_index", [("univariate", 1, 0),
+                                                      ("multivariate", 2, 20)])
+    def test_plain_numbers_are_echoed(self, runner, form, mode, dim, first_index):
+        tokens = [self.FORMS[form](row) for row in self.rows(40, dim, seed=21)]
+        tokens.append(["0.1", "0.2"][:dim])
+        text = "".join(",".join(row) + "\n" for row in tokens)
+        result = runner.invoke(main, ["detect", "--mode", mode, "--static-points", "20"],
+                               input=text.replace("\n", "  \r\n", 1))
+        assert result.exit_code == 0, result.stderr
+        echoed = [row.split(",")[1 : 1 + dim] for row in result.stdout.splitlines()]
+        assert echoed == tokens[first_index:]
+        assert echoed[-1] == ["0.1", "0.2"][:dim]
+        for fields, row in zip(echoed, self.rows(40, dim, seed=21)[first_index:]):
+            assert [float(field) for field in fields] == row
+
+    @pytest.mark.parametrize("token", ["1_0", "+.5", "1.", "01", "-.5", "\u0661", "1\u0661",
+                                       "2.\u0661", "1, 2"])
+    def test_other_text_is_reformatted_whole(self, runner, token):
+        line = f"0.1,{token}"
+        values = _parse_vector(line)
+        static = [",".join(self.FORMS["17g"](row)) for row in self.rows(10, len(values), seed=22)]
+        result = runner.invoke(main, ["detect", "--mode", "multivariate", "--static-points", "10"],
+                               input="\n".join([*static, line]) + "\n")
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout.startswith("10," + ",".join(f"{v:.17g}" for v in values) + ",")
+        assert result.stdout.startswith("10,0.10000000000000001,")
+        if "," not in token:
+            result = runner.invoke(main, ["detect"], input=token + "\n")
+            assert result.stdout.startswith(f"0,{float(token):.17g},")
+
+    @pytest.mark.parametrize("mode,line,message", [
+        ("univariate", "1e999", "non-finite value '1e999'"),
+        ("multivariate", "0.1,1e999", "non-finite value in '0.1,1e999'"),
+    ])
+    def test_overflowing_number_is_rejected_not_echoed(self, runner, mode, line, message):
+        assert _PLAIN_NUMBERS.fullmatch(line)  # the grammar allows it; parsing refuses it
+        dim = line.count(",") + 1
+        lines = [",".join(self.FORMS["repr"](row)) for row in self.rows(14, dim, seed=24)]
+        lines.insert(11, line)
+        result = runner.invoke(main, ["detect", "--mode", mode, "--static-points", "10"],
+                               input="\n".join(lines) + "\n")
+        assert result.exit_code == 1
+        assert result.stderr == f"line 12: skipped: {message}\n"
+        assert "1e999" not in result.stdout
+        first_index = 0 if mode == "univariate" else 10
+        assert [int(row.split(",")[0]) for row in result.stdout.splitlines()] == \
+            list(range(first_index, 14))
+
+    @pytest.mark.parametrize("cut", [200, 231])
+    def test_resumed_run_echoes_like_an_uninterrupted_one(self, runner, tmp_path, cut):
+        rows = self.rows(260, 3, seed=23)
+        lines = {form: [",".join(self.FORMS[form](row)) + "\n" for row in rows]
+                 for form in ("repr", "17g")}
+        args = ["detect", "--mode", "multivariate", "--static-points", "200"]
+        whole = runner.invoke(main, args, input="".join(lines["repr"]))
+        assert whole.exit_code == 0
+        ckpt = tmp_path / "repr.ckpt"
+        first = runner.invoke(main, [*args, "--checkpoint", str(ckpt)],
+                              input="".join(lines["repr"][:cut]))
+        second = runner.invoke(main, [*args, "--checkpoint", str(ckpt)],
+                               input="".join(lines["repr"][cut:]))
+        assert (first.exit_code, second.exit_code) == (0, 0)
+        assert second.stdout.startswith(f"{cut},{lines['repr'][cut].strip()},")
+        assert first.stdout + second.stdout == whole.stdout
+
+        # JSONL and the checkpoint depend only on the parsed floats.
+        jsonl = {form: runner.invoke(main, [*args, "--format", "jsonl", "--checkpoint",
+                                            str(tmp_path / form)], input="".join(text)).stdout
+                 for form, text in lines.items()}
+        assert jsonl["repr"] == jsonl["17g"]
+        assert (tmp_path / "repr").read_bytes() == (tmp_path / "17g").read_bytes()
+        assert ckpt.read_bytes() == (tmp_path / "repr").read_bytes()
+
+    def test_pattern_uses_no_syntax_newer_than_python_3_10(self):
+        # Possessive quantifiers and atomic groups arrived in Python 3.11.
+        for token in ("*+", "++", "?+", "}+", "(?>"):
+            assert token not in _PLAIN_NUMBERS.pattern
 
 
 class TestRoundTrip:
