@@ -752,8 +752,8 @@ class TestEchoedText:
     @pytest.mark.parametrize("mode,dim,first_index", [("univariate", 1, 0),
                                                       ("multivariate", 2, 20)])
     def test_plain_numbers_are_echoed(self, runner, form, mode, dim, first_index):
-        tokens = [self.FORMS[form](row) for row in self.rows(40, dim, seed=21)]
-        tokens.append(["0.1", "0.2"][:dim])
+        rows = [*self.rows(40, dim, seed=21), [0.1, 0.2][:dim]]
+        tokens = [self.FORMS[form](row) for row in rows[:-1]] + [["0.1", "0.2"][:dim]]
         text = "".join(",".join(row) + "\n" for row in tokens)
         result = runner.invoke(main, ["detect", "--mode", mode, "--static-points", "20"],
                                input=text.replace("\n", "  \r\n", 1))
@@ -761,8 +761,7 @@ class TestEchoedText:
         echoed = [row.split(",")[1 : 1 + dim] for row in result.stdout.splitlines()]
         assert echoed == tokens[first_index:]
         assert echoed[-1] == ["0.1", "0.2"][:dim]
-        for fields, row in zip(echoed, self.rows(40, dim, seed=21)[first_index:]):
-            assert [float(field) for field in fields] == row
+        assert [[float(field) for field in fields] for fields in echoed] == rows[first_index:]
 
     @pytest.mark.parametrize("token", ["1_0", "+.5", "1.", "01", "-.5", "\u0661", "1\u0661",
                                        "2.\u0661", "1, 2"])
