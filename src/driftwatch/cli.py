@@ -17,7 +17,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import click
 
@@ -47,20 +47,24 @@ EXIT_SKIPPED_LINES = 1
 EXIT_FATAL = 2
 
 
-@dataclass
-class DetectorConfig:
-    """``detect``'s options, one field each, with the library's defaults;
-    ``tau = None`` means ``score``'s own rule in multivariate mode (flag
-    beyond Mahalanobis distance 3), and ``PewmaParams``' default tau in
-    univariate mode."""
+@dataclass(frozen=True)
+class DetectorConfig(PewmaParams):
+    """``detect``'s options: ``PewmaParams`` plus the mode and the count of
+    points buffered for the multivariate static fit, every one checked when
+    the config is built, in either mode. ``tau = None`` means ``score``'s own
+    rule in multivariate mode (flag beyond Mahalanobis distance 3), and
+    ``PewmaParams``' default tau in univariate mode."""
 
-    mode: str = "univariate"
-    alpha: float = PewmaParams.alpha
-    beta: float = PewmaParams.beta
     tau: float | None = None
-    warmup_T: int = PewmaParams.warmup_T
+    mode: str = "univariate"
     static_count_points: int = 100
-    sigma_floor: float = PewmaParams.sigma_floor
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.mode not in ("univariate", "multivariate"):
+            raise InvalidInputError(f"unknown mode {self.mode!r}")
+        if self.static_count_points < 2:
+            raise InvalidInputError(f"static points must be >= 2, got {self.static_count_points}")
 
 
 @functools.cache
@@ -135,20 +139,10 @@ def _data_lines(lines, skip_header: bool, parse, err, rejected: list):
 
 def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=False, fmt="csv"):
     """Core of the ``detect`` command; returns the process exit code. An unknown
-    mode or ``fmt``, a setting ``PewmaParams`` refuses (in either mode), or a
-    checkpoint outside multivariate mode or unsavable, raises InvalidInputError
-    before any read."""
-    if config.mode not in ("univariate", "multivariate"):
-        raise InvalidInputError(f"unknown mode {config.mode!r}")
+    ``fmt``, or a checkpoint outside multivariate mode or unsavable, raises
+    InvalidInputError before any read; ``config`` checked its own settings."""
     if fmt not in ("csv", "jsonl"):
         raise InvalidInputError(f"unknown format {fmt!r}")
-    params = PewmaParams(
-        alpha=config.alpha,
-        beta=config.beta,
-        tau=PewmaParams.tau if config.tau is None else config.tau,
-        warmup_T=config.warmup_T,
-        sigma_floor=config.sigma_floor,
-    )
     if checkpoint is not None:
         if config.mode != "multivariate":
             raise InvalidInputError("--checkpoint requires --mode multivariate")
@@ -159,6 +153,7 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
     rejected: list[int] = []
 
     if config.mode == "univariate":
+        params = config if config.tau is not None else replace(config, tau=PewmaParams.tau)
         state = None
         values = _data_lines(lines, header, _parse_scalar, err, rejected)
         for index, (_, text, value) in enumerate(values):
@@ -169,8 +164,6 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
             emit(index, text, [value], verdict)
         return EXIT_SKIPPED_LINES if rejected else EXIT_OK
 
-    if config.static_count_points < 2:
-        raise InvalidInputError(f"static points must be >= 2, got {config.static_count_points}")
     model = None
     dim = None
     consumed = 0  # data points read, the checkpoint's count included

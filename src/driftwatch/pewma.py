@@ -43,7 +43,8 @@ class PewmaParams:
     warmup_T: number of leading points scored but never flagged; the
         first warmup_T - 1 of them set the exact running mean, and point
         warmup_T already takes the density-weighted rate.
-    sigma_floor: lower clamp for the standard-deviation estimate.
+    sigma_floor: lower clamp for the standard-deviation estimate; its
+        square, the clamp on the variance, must be a nonzero finite float.
     """
 
     alpha: float = 0.98
@@ -60,8 +61,10 @@ class PewmaParams:
         check_tau(self.tau)
         if self.warmup_T < 1:
             raise InvalidInputError(f"warmup_T must be >= 1, got {self.warmup_T}")
-        if not (math.isfinite(self.sigma_floor) and self.sigma_floor > 0.0):
-            raise InvalidInputError(f"sigma_floor must be > 0, got {self.sigma_floor}")
+        floor_sq = self.sigma_floor * self.sigma_floor  # pewma_step's clamp on var
+        if not (self.sigma_floor > 0.0 and floor_sq > 0.0 and math.isfinite(floor_sq)):
+            raise InvalidInputError(
+                f"sigma_floor must be > 0 with a nonzero finite square, got {self.sigma_floor}")
 
 
 @dataclass(slots=True)

@@ -166,6 +166,17 @@ class TestDetectUnivariate:
         result = runner.invoke(main, ["detect", "--alpha", "1.5"], input="1.0\n")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("floor", ["1e-170", "1e200"])
+    def test_sigma_floor_whose_square_is_not_a_positive_float_is_usage_error(self, runner,
+                                                                             floor):
+        # pewma_step clamps var at floor²: 0 made σ̂ = 0 and z a ZeroDivisionError.
+        result = runner.invoke(main, ["detect", "--sigma-floor", floor], input="1\n1\n1\n1\n")
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert "sigma_floor must be" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_first_verdict_is_not_mutated(self):
         # Every stream's first verdict is the one shared module constant.
         out = io.StringIO()
@@ -333,9 +344,9 @@ class TestDetectMultivariate:
 
     def test_bad_tau_reads_no_line(self):
         lines = iter(["1,2\n"] * 150)
-        config = DetectorConfig(mode="multivariate", tau=-1.0)
         with pytest.raises(InvalidInputError):
-            run_detect(lines, config, io.StringIO(), io.StringIO())
+            run_detect(lines, DetectorConfig(mode="multivariate", tau=-1.0), io.StringIO(),
+                       io.StringIO())
         assert len(list(lines)) == 150
 
     @pytest.mark.parametrize("setting", [{"alpha": 7.0}, {"beta": -0.5}, {"warmup_T": -3},
@@ -343,19 +354,19 @@ class TestDetectMultivariate:
     def test_bad_pewma_setting_reads_no_line(self, setting):
         # Every flag is checked in both modes, not only the ones a mode uses.
         lines = iter(["1,2\n"] * 150)
-        config = DetectorConfig(mode="multivariate", **setting)
         with pytest.raises(InvalidInputError, match="must be"):
-            run_detect(lines, config, io.StringIO(), io.StringIO())
+            run_detect(lines, DetectorConfig(mode="multivariate", **setting), io.StringIO(),
+                       io.StringIO())
         assert len(list(lines)) == 150
 
+    @pytest.mark.parametrize("mode", ["univariate", "multivariate"])
     @pytest.mark.parametrize("static_points", ["1", "0", "-3"])
     @pytest.mark.parametrize("count", [0, 150])
-    def test_static_points_below_two_rejected_before_reading_input(self, runner, static_points,
-                                                                   count):
+    def test_static_points_below_two_rejected_before_reading_input(self, runner, mode,
+                                                                   static_points, count):
         text = self.stream_text(count, 3, seed=10) if count else ""
         result = runner.invoke(
-            main, ["detect", "--mode", "multivariate", "--static-points", static_points],
-            input=text,
+            main, ["detect", "--mode", mode, "--static-points", static_points], input=text,
         )
         assert result.exit_code == 2
         assert result.stdout == ""
@@ -363,9 +374,9 @@ class TestDetectMultivariate:
 
     def test_static_points_below_two_reads_no_line(self):
         lines = iter(["1,2\n"] * 150)
-        config = DetectorConfig(mode="multivariate", static_count_points=1)
         with pytest.raises(InvalidInputError, match="static points"):
-            run_detect(lines, config, io.StringIO(), io.StringIO())
+            run_detect(lines, DetectorConfig(mode="multivariate", static_count_points=1),
+                       io.StringIO(), io.StringIO())
         assert len(list(lines)) == 150
 
     def test_singular_static_fit_is_fatal(self, runner):

@@ -61,6 +61,13 @@ class TestParamsValidation:
         with pytest.raises(InvalidInputError):
             PewmaParams(**kwargs)
 
+    @pytest.mark.parametrize("floor", [1e-170, 1e200])
+    def test_rejects_a_floor_whose_square_is_not_a_positive_float(self, floor):
+        # pewma_step clamps var at floor²: a square of 0 left σ̂ = 0 on a constant
+        # stream and made the next z a ZeroDivisionError.
+        with pytest.raises(InvalidInputError, match="sigma_floor must be"):
+            PewmaParams(sigma_floor=floor)
+
 
 class TestPewmaStep:
     def test_constant_stream(self):
