@@ -4,9 +4,10 @@
 univariate mode), ``simulate`` emits synthetic streams with configurable
 signal changes, and ``experiment`` runs the segmented static-vs-online
 covariance protocols and prints their report CSV. A CSV verdict echoes a line
-of plain JSON numbers as written and writes other points, and the scores, at
-17 significant digits; JSONL writes Python's shortest round-trip repr. Both
-parse back to the exact float64 values; JSONL writes a non-finite score as null.
+of plain JSON numbers as written, recognised because json's scanner parses it
+whole, and writes other points, and the scores, at 17 significant digits;
+JSONL writes Python's shortest round-trip repr. Both parse back to the exact
+float64 values; JSONL writes a non-finite score as null.
 """
 
 from __future__ import annotations
@@ -74,10 +75,14 @@ def _row_format(count: int) -> str:
 
 
 # A point written as JSON numbers (RFC 8259 section 6) is echoed as written.
-# Other text float() takes (1_0, +.5, 1., 01, non-ASCII digits: hence [0-9],
-# not \d) is re-formatted. No possessive quantifiers: Python 3.10 lacks them.
-_JSON_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-_PLAIN_NUMBERS = re.compile(f"{_JSON_NUMBER}(?:,{_JSON_NUMBER})*")
+# json's scanner reads such a line whole, passing each number's text to float()
+# (parse_int=float: integers too), so one scan parses the point and proves it
+# plain; other text float() takes (1_0, +.5, 1., 01, non-ASCII digits) is read
+# by float() and re-formatted. Only ASCII text counts as plain: json's
+# pure-Python scanner, used where its C module is missing, reads \d.
+_scan = json.JSONDecoder(parse_int=float).scan_once
+# A vector's scan: no JSON whitespace, brackets, quotes or constants; [0-9], not \d.
+_VECTOR_CHARS = re.compile(r"[-+.,0-9eE]+")
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -88,7 +93,7 @@ def _finite_or_none(value: float) -> float | None:
 def _make_emitter(out, fmt: str):
     if fmt == "jsonl":
 
-        def emit(index, text, values, verdict):
+        def emit(index, echo, values, verdict):
             record = {"index": index, "values": values,
                       "score": _finite_or_none(verdict.density),
                       "log_score": _finite_or_none(verdict.log_density),
@@ -97,44 +102,59 @@ def _make_emitter(out, fmt: str):
 
     else:
 
-        def emit(index, text, values, verdict):
+        def emit(index, echo, values, verdict):
             flag = "true" if verdict.is_anomaly else "false"
-            if not _PLAIN_NUMBERS.fullmatch(text):
-                text = _row_format(len(values)) % tuple(values)
+            if echo is None:
+                echo = _row_format(len(values)) % tuple(values)
             out.write("%d,%s,%.17g,%.17g,%s\n"
-                      % (index, text, verdict.density, verdict.log_density, flag))
+                      % (index, echo, verdict.density, verdict.log_density, flag))
 
     return emit
 
 
-def _parse_scalar(text: str) -> float:
+def _parse_scalar(text: str) -> tuple[str | None, float]:
+    try:  # StopIteration: no value at all; RecursionError: a line of many "["
+        value, end = _scan(text, 0)
+        if end == len(text) and type(value) is float and math.isfinite(value) and text.isascii():
+            return text, value
+    except (ValueError, StopIteration, RecursionError):
+        pass
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
-    return value
+    return None, value
 
 
-def _parse_vector(text: str) -> list[float]:
+def _parse_vector(text: str) -> tuple[str | None, list[float]]:
+    if _VECTOR_CHARS.fullmatch(text):
+        try:  # the text holds no "]", so a scan that succeeds ends at the last one
+            values = _scan(f"[{text}]", 0)[0]
+            if all(map(math.isfinite, values)):
+                return text, values
+        except (ValueError, StopIteration):  # StopIteration: a field with no value
+            pass
     values = list(map(float, text.split(",")))
     if not all(map(math.isfinite, values)):
         raise ValueError(f"non-finite value in {text!r}")
-    return values
+    return None, values
 
 
 def _data_lines(lines, skip_header: bool, parse, err, rejected: list):
-    """Yield (line_no, stripped text, parse(text)) past the header and blank lines;
-    report each line ``parse`` rejects on ``err`` and append its number to ``rejected``."""
+    """Yield (line_no, echo, values) past the header and blank lines, where
+    ``parse(stripped text)`` gives ``(echo, values)``: the echo is the text
+    when json's scanner read it as plain JSON numbers, else None. Report each
+    line ``parse`` rejects on ``err`` and append its number to ``rejected``."""
     for line_no, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or (skip_header and line_no == 1):
             continue
         try:
-            value = parse(text)
+            echo, values = parse(text)
         except ValueError as exc:
             err.write(f"line {line_no}: skipped: {exc}\n")
             rejected.append(line_no)
             continue
-        yield line_no, text, value
+        yield line_no, echo, values
 
 
 def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=False, fmt="csv"):
@@ -156,12 +176,12 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
         params = config if config.tau is not None else replace(config, tau=PewmaParams.tau)
         state = None
         values = _data_lines(lines, header, _parse_scalar, err, rejected)
-        for index, (_, text, value) in enumerate(values):
+        for index, (_, echo, value) in enumerate(values):
             if state is None:
                 state, verdict = pewma_init(value, params), FIRST_VERDICT
             else:
                 state, verdict = pewma_step(state, value, params)
-            emit(index, text, [value], verdict)
+            emit(index, echo, [value], verdict)
         return EXIT_SKIPPED_LINES if rejected else EXIT_OK
 
     model = None
@@ -173,7 +193,7 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
         dim = model.m
 
     points = _data_lines(lines, header, _parse_vector, err, rejected)
-    for index, (line_no, text, values) in enumerate(points, start=consumed):
+    for index, (line_no, echo, values) in enumerate(points, start=consumed):
         consumed = index + 1
         if dim is None:
             dim = len(values)
@@ -194,7 +214,7 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
                 buffer.clear()
         else:
             x = np.array(values)
-            emit(index, text, values, score(model, x, config.tau))
+            emit(index, echo, values, score(model, x, config.tau))
             model = update_online(model, x)
 
     if checkpoint is not None and model is not None:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from driftwatch import cli
 from driftwatch.cli import (
-    _PLAIN_NUMBERS,
     DetectorConfig,
+    _parse_scalar,
     _parse_vector,
     detect,
     main,
@@ -48,6 +50,12 @@ def simulate(runner, *args):
 
 def univariate_input(values):
     return "\n".join(f"{v:.17g}" for v in values) + "\n"
+
+
+# RFC 8259 section 6: the oracle for the lines a CSV verdict echoes as written.
+# No possessive quantifiers: Python 3.10 lacks them.
+JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+PLAIN_NUMBERS = re.compile(f"{JSON_NUMBER.pattern}(?:,{JSON_NUMBER.pattern})*")
 
 
 class TestSimulate:
@@ -101,12 +109,9 @@ class TestSimulate:
 
 class TestDetectDefaults:
     def test_config_takes_the_library_defaults(self):
-        config, params = DetectorConfig(), PewmaParams()
-        assert config.alpha == params.alpha
-        assert config.beta == params.beta
-        assert config.warmup_T == params.warmup_T
-        assert config.sigma_floor == params.sigma_floor
-        assert config.tau is None
+        # The PEWMA fields and their defaults are PewmaParams' own: declared once.
+        assert set(DetectorConfig.__annotations__) == {"tau", "mode", "static_count_points"}
+        assert DetectorConfig().tau is None
 
     def test_flags_default_to_the_config(self):
         flags = {p.name: p.default for p in detect.params}
@@ -579,7 +584,7 @@ class TestLineReader:
     def test_vector_parse_matches_numpys_cast(self, text):
         # The parsed values, or the message after "line N: skipped: ".
         outcomes = []
-        for parse in (_parse_vector, self.numpy_rule):
+        for parse in (lambda line: _parse_vector(line)[1], self.numpy_rule):
             try:
                 outcomes.append(parse(text))
             except ValueError as exc:
@@ -774,27 +779,54 @@ class TestEchoedText:
         assert echoed[-1] == ["0.1", "0.2"][:dim]
         assert [[float(field) for field in fields] for fields in echoed] == rows[first_index:]
 
-    @pytest.mark.parametrize("token", ["1_0", "+.5", "1.", "01", "-.5", "\u0661", "1\u0661",
-                                       "2.\u0661", "1, 2"])
-    def test_other_text_is_reformatted_whole(self, runner, token):
-        line = f"0.1,{token}"
-        values = _parse_vector(line)
+    TOKENS = ["1_0", "+.5", "1.", "01", "-.5", "\u0661", "1\u0661", "2.\u0661", "1, 2"]
+
+    @pytest.mark.parametrize("first", [False, True])
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_other_text_is_reformatted_whole(self, runner, token, first):
+        line = f"{token},0.1" if first else f"0.1,{token}"
+        values = [float(field) for field in line.split(",")]
         static = [",".join(self.FORMS["17g"](row)) for row in self.rows(10, len(values), seed=22)]
         result = runner.invoke(main, ["detect", "--mode", "multivariate", "--static-points", "10"],
-                               input="\n".join([*static, line]) + "\n")
-        assert result.exit_code == 0, result.stderr
-        assert result.stdout.startswith("10," + ",".join(f"{v:.17g}" for v in values) + ",")
-        assert result.stdout.startswith("10,0.10000000000000001,")
-        if "," not in token:
-            result = runner.invoke(main, ["detect"], input=token + "\n")
-            assert result.stdout.startswith(f"0,{float(token):.17g},")
+                               input="\n".join([*static, line, static[0]]) + "\n")
+        assert result.exit_code == 0, (result.stderr, result.exception)
+        rows = result.stdout.splitlines()
+        assert rows[0].startswith("10," + ",".join(f"{v:.17g}" for v in values) + ",")
+        assert "0.10000000000000001" in rows[0].split(",")
+        assert rows[1].startswith(f"11,{static[0]},")  # the stream goes on
+        assert len(rows) == 2
+
+    @pytest.mark.parametrize("token", [token for token in TOKENS if "," not in token]
+                             + ["-", "e", ".", "+", "true", "[1]", "NaN", "-Infinity",
+                                pytest.param("[" * 100_000, id="[*100000")])
+    def test_other_scalar_text_is_reformatted_or_skipped(self, runner, token):
+        # Each token alone is either re-formatted or skipped with float()'s
+        # message (JSON's other values and constants included); the stream
+        # goes on either way.
+        result = runner.invoke(main, ["detect"], input=f"0.5\n{token}\n0.25\n")
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            result.exception
+        try:
+            value = float(token)
+            stderr = "" if math.isfinite(value) else f"non-finite value {token!r}"
+        except ValueError as exc:
+            stderr = str(exc)
+        if stderr:
+            prefixes, stderr = ["0,0.5,", "1,0.25,"], f"line 2: skipped: {stderr}\n"
+        else:
+            prefixes = ["0,0.5,", f"1,{value:.17g},", "2,0.25,"]
+        assert result.exit_code == (1 if stderr else 0)
+        assert result.stderr == stderr
+        rows = result.stdout.splitlines()
+        assert [row[: len(prefix)] for row, prefix in zip(rows, prefixes)] == prefixes
+        assert len(rows) == len(prefixes)
 
     @pytest.mark.parametrize("mode,line,message", [
         ("univariate", "1e999", "non-finite value '1e999'"),
         ("multivariate", "0.1,1e999", "non-finite value in '0.1,1e999'"),
     ])
     def test_overflowing_number_is_rejected_not_echoed(self, runner, mode, line, message):
-        assert _PLAIN_NUMBERS.fullmatch(line)  # the grammar allows it; parsing refuses it
+        assert PLAIN_NUMBERS.fullmatch(line)  # the grammar allows it; parsing refuses it
         dim = line.count(",") + 1
         lines = [",".join(self.FORMS["repr"](row)) for row in self.rows(14, dim, seed=24)]
         lines.insert(11, line)
@@ -834,8 +866,58 @@ class TestEchoedText:
 
     def test_pattern_uses_no_syntax_newer_than_python_3_10(self):
         # Possessive quantifiers and atomic groups arrived in Python 3.11.
-        for token in ("*+", "++", "?+", "}+", "(?>"):
-            assert token not in _PLAIN_NUMBERS.pattern
+        for pattern in (PLAIN_NUMBERS.pattern, cli._VECTOR_CHARS.pattern):
+            for token in ("*+", "++", "?+", "}+", "(?>"):
+                assert token not in pattern
+
+
+class TestPlainLineOracle:
+    """Fuzzed lines through both parsers: each gives the values, or the skip
+    message, of float() on each field, and echoes its text exactly when the
+    RFC 8259 grammar matches it and every value is finite. Run once with
+    json's C scanner and once with its pure-Python one, which json uses where
+    the C module is missing."""
+
+    ALPHABET = "-+.,0123456789eE _\t\u0661"
+
+    @staticmethod
+    def float_rule(text, vector):
+        try:
+            values = [float(field) for field in (text.split(",") if vector else [text])]
+        except ValueError as exc:
+            return f"skipped: {exc}"
+        if not all(map(math.isfinite, values)):
+            return f"skipped: non-finite value {'in ' if vector else ''}{text!r}"
+        return [value.hex() for value in values]  # bit for bit, -0.0 too
+
+    @pytest.mark.parametrize("scanner", ["c", "python"])
+    def test_fuzzed_lines(self, monkeypatch, scanner):
+        if scanner == "c":
+            assert isinstance(cli._scan, json.scanner.c_make_scanner)
+        else:
+            decoder = json.JSONDecoder(parse_int=float)
+            monkeypatch.setattr(cli, "_scan", json.scanner.py_make_scanner(decoder))
+        rng = random.Random(20261020)
+        echoed = {True: 0, False: 0}
+        for _ in range(20_000):
+            fields = ["".join(rng.choices(self.ALPHABET, k=rng.randint(0, 8)))
+                      for _ in range(rng.randint(1, 4))]
+            text = ",".join(fields).strip()  # as the line reader passes it
+            if not text:
+                continue
+            for vector, parse, grammar in ((True, _parse_vector, PLAIN_NUMBERS),
+                                           (False, _parse_scalar, JSON_NUMBER)):
+                expected = self.float_rule(text, vector)
+                try:
+                    echo, values = parse(text)
+                    outcome = [value.hex() for value in (values if vector else [values])]
+                except ValueError as exc:
+                    echo, outcome = None, f"skipped: {exc}"
+                assert outcome == expected, (text, vector)
+                plain = grammar.fullmatch(text) is not None and not isinstance(expected, str)
+                assert echo == (text if plain else None), (text, vector)
+                echoed[vector] += plain
+        assert min(echoed.values()) >= 500, echoed  # the echo path ran, in both modes
 
 
 class TestRoundTrip:
