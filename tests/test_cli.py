@@ -808,15 +808,12 @@ class TestEchoedText:
             result.exception
         try:
             value = float(token)
-            stderr = "" if math.isfinite(value) else f"non-finite value {token!r}"
+            message = "" if math.isfinite(value) else f"non-finite value {token!r}"
         except ValueError as exc:
-            stderr = str(exc)
-        if stderr:
-            prefixes, stderr = ["0,0.5,", "1,0.25,"], f"line 2: skipped: {stderr}\n"
-        else:
-            prefixes = ["0,0.5,", f"1,{value:.17g},", "2,0.25,"]
-        assert result.exit_code == (1 if stderr else 0)
-        assert result.stderr == stderr
+            message = str(exc)
+        prefixes = ["0,0.5,", "1,0.25,"] if message else ["0,0.5,", f"1,{value:.17g},", "2,0.25,"]
+        assert result.exit_code == (1 if message else 0)
+        assert result.stderr == (f"line 2: skipped: {message}\n" if message else "")
         rows = result.stdout.splitlines()
         assert [row[: len(prefix)] for row, prefix in zip(rows, prefixes)] == prefixes
         assert len(rows) == len(prefixes)
