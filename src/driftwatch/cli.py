@@ -159,18 +159,19 @@ def _data_lines(lines, skip_header: bool, parse, err, rejected: list):
 
 def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=False, fmt="csv"):
     """Core of the ``detect`` command; returns the process exit code. An unknown
-    ``fmt``, or a checkpoint outside multivariate mode or unsavable, raises
-    InvalidInputError before any read; ``config`` checked its own settings."""
+    ``fmt``, or a checkpoint outside multivariate mode or unsavable (a directory
+    too), raises InvalidInputError before any read; ``config`` checked its own settings."""
     if fmt not in ("csv", "jsonl"):
         raise InvalidInputError(f"unknown format {fmt!r}")
     if checkpoint is not None:
         if config.mode != "multivariate":
             raise InvalidInputError("--checkpoint requires --mode multivariate")
         folder, name = os.path.split(checkpoint)
-        if not name or not os.path.isdir(folder or "."):
+        if not name or os.path.isdir(checkpoint) or not os.path.isdir(folder or "."):
             raise InvalidInputError(f"--checkpoint {checkpoint!r}: cannot save a file there")
     emit = _make_emitter(out, fmt)
     rejected: list[int] = []
+    fatal = False
 
     if config.mode == "univariate":
         params = config if config.tau is not None else replace(config, tau=PewmaParams.tau)
@@ -182,48 +183,45 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
             else:
                 state, verdict = pewma_step(state, value, params)
             emit(index, echo, [value], verdict)
-        return EXIT_SKIPPED_LINES if rejected else EXIT_OK
+    else:
+        model = dim = None
+        consumed = 0  # data points read before any fatal line, the checkpoint's count included
+        buffer: list[list[float]] = []
+        if checkpoint is not None and os.path.exists(checkpoint):
+            model, consumed = load_checkpoint(checkpoint)
+            dim = model.m
 
-    model = None
-    dim = None
-    consumed = 0  # data points read, the checkpoint's count included
-    buffer: list[list[float]] = []
-    if checkpoint is not None and os.path.exists(checkpoint):
-        model, consumed = load_checkpoint(checkpoint)
-        dim = model.m
+        points = _data_lines(lines, header, _parse_vector, err, rejected)
+        for index, (line_no, echo, values) in enumerate(points, start=consumed):
+            if dim is None:
+                dim = len(values)
+            elif len(values) != dim:
+                err.write(f"line {line_no}: fatal: dimension changed from {dim} to {len(values)}\n")
+                fatal = True
+                break
+            consumed = index + 1
+            if model is None:
+                buffer.append(values)
+                if len(buffer) >= config.static_count_points:
+                    try:
+                        model = fit_static(np.asarray(buffer))
+                    except InvalidInputError as exc:
+                        err.write(f"fatal: static fit failed: {exc}\n")
+                        fatal = True
+                        break
+                    buffer.clear()
+            else:
+                x = np.array(values)
+                emit(index, echo, values, score(model, x, config.tau))
+                model = update_online(model, x)
 
-    points = _data_lines(lines, header, _parse_vector, err, rejected)
-    for index, (line_no, echo, values) in enumerate(points, start=consumed):
-        consumed = index + 1
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            err.write(f"line {line_no}: fatal: dimension changed from {dim} to {len(values)}\n")
-            if checkpoint is not None and model is not None:  # keep what was absorbed
-                save_model(model, checkpoint, index)
-            return EXIT_FATAL
-
-        if model is None:
-            buffer.append(values)
-            if len(buffer) >= config.static_count_points:
-                try:
-                    model = fit_static(np.asarray(buffer))
-                except InvalidInputError as exc:
-                    err.write(f"fatal: static fit failed: {exc}\n")
-                    return EXIT_FATAL
-                buffer.clear()
-        else:
-            x = np.array(values)
-            emit(index, echo, values, score(model, x, config.tau))
-            model = update_online(model, x)
-
-    if checkpoint is not None and model is not None:
-        save_model(model, checkpoint, consumed)
-    elif checkpoint is not None and buffer:  # a resumed run would fit on later points
-        err.write(f"fatal: stream ended after {len(buffer)} of {config.static_count_points} "
-                  "static points; no checkpoint written\n")
-        return EXIT_FATAL
-    return EXIT_SKIPPED_LINES if rejected else EXIT_OK
+        if checkpoint is not None and model is not None:
+            save_model(model, checkpoint, consumed)
+        elif checkpoint is not None and buffer and not fatal:  # resuming would fit on later points
+            err.write(f"fatal: stream ended after {len(buffer)} of {config.static_count_points} "
+                      "static points; no checkpoint written\n")
+            fatal = True
+    return EXIT_FATAL if fatal else EXIT_SKIPPED_LINES if rejected else EXIT_OK
 
 
 @click.group()
@@ -232,7 +230,7 @@ def main():
 
 
 @main.command()
-@click.argument("input_file", type=click.File("r", errors="replace"), default="-", required=False)
+@click.argument("input_file", type=click.File(encoding="utf-8-sig", errors="replace"), default="-")
 @click.option("--mode", type=click.Choice(["univariate", "multivariate"]),
               default=DetectorConfig.mode)
 @click.option("--alpha", type=float, default=DetectorConfig.alpha, show_default=True)
@@ -247,7 +245,7 @@ def main():
 @click.option("--sigma-floor", type=float, default=DetectorConfig.sigma_floor, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
 @click.option("--header", is_flag=True, help="Skip one leading input line.")
-@click.option("--checkpoint", type=click.Path(dir_okay=False), default=None, metavar="PATH",
+@click.option("--checkpoint", default=None, metavar="PATH",
               help="Model checkpoint to resume from and save to (multivariate only).")
 @click.pass_context
 def detect(ctx, input_file, fmt, header, checkpoint, **settings):

@@ -406,13 +406,14 @@ class TestDetectMultivariate:
     @pytest.mark.parametrize("target", [".", "missing/model.ckpt", None])
     def test_checkpoint_path_that_cannot_be_saved_is_usage_error(self, runner, tmp_path, target):
         # A directory, a file in a directory that does not exist, or the empty
-        # path: each is refused before any input is read, not after every verdict.
+        # path: each is refused before any input is read, not after every verdict,
+        # and by run_detect's one rule, which the CLI does not duplicate.
         ckpt = "" if target is None else str(tmp_path / target)
         result = runner.invoke(main, ["detect", "--mode", "multivariate", "--checkpoint", ckpt],
                                input=self.stream_text(110, 2, seed=12))
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert "Error:" in result.stderr
+        assert f"Error: --checkpoint {ckpt!r}: cannot save a file there" in result.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_checkpoint_requires_multivariate(self, runner, tmp_path):
@@ -431,15 +432,19 @@ class TestDetectMultivariate:
         assert out.getvalue() == ""
         assert list(tmp_path.iterdir()) == []
 
-    def test_run_detect_refuses_an_unsavable_checkpoint_before_reading(self, tmp_path):
-        # Not after printing every verdict, when the save fails and the model is lost.
+    @pytest.mark.parametrize("target", [".", "missing/x.ckpt", None])
+    def test_run_detect_refuses_an_unsavable_checkpoint_before_reading(self, tmp_path, target):
+        # Not after printing every verdict, when the save fails and the model is
+        # lost; an existing directory is refused too, not read as a checkpoint.
+        checkpoint = "" if target is None else str(tmp_path / target)
         lines = iter(self.stream_text(150, 3, seed=12).splitlines(keepends=True))
-        out = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         with pytest.raises(InvalidInputError, match="cannot save a file there"):
-            run_detect(lines, DetectorConfig(mode="multivariate"), out, io.StringIO(),
-                       checkpoint=str(tmp_path / "missing" / "x.ckpt"))
+            run_detect(lines, DetectorConfig(mode="multivariate"), out, err,
+                       checkpoint=checkpoint)
         assert len(list(lines)) == 150
-        assert out.getvalue() == ""
+        assert out.getvalue() == err.getvalue() == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_detect_refuses_an_unknown_mode_before_reading(self):
         # Not a silent multivariate run: the mode is matched exactly.
@@ -612,6 +617,120 @@ class TestUndecodableInput:
         assert len(result.stderr.splitlines()) == 1
         assert result.stdout == clean.stdout
         assert int(result.stdout.split(",", 1)[0]) == first_index
+
+
+class TestCutAndResume:
+    """A multivariate stream with skipped lines and re-formatted points, cut
+    anywhere past the static buffer and resumed from its checkpoint, prints
+    what the run that was never cut prints, byte for byte, and leaves the same
+    checkpoint file; each part reports the skips in its own lines."""
+
+    @staticmethod
+    def stream() -> list[str]:
+        rng = random.Random(20261021)
+        lines = []
+        for i in range(400):
+            row = [repr(rng.gauss(5.0 if i >= 250 else 0.0, 1.0)) for _ in range(3)]
+            if rng.random() < 0.05:  # still a point, but not echoed
+                row[rng.randrange(3)] = rng.choice(["+.5", "1_0"])
+            lines.append(",".join(row) + "\n")
+            if rng.random() < 0.04:
+                lines.append(rng.choice(["1,abc,3\n", "1,nan,3\n", "1,,3\n", "\n"]))
+        return lines
+
+    @staticmethod
+    def detect(runner, ckpt, lines):
+        return runner.invoke(main, ["detect", "--mode", "multivariate", "--checkpoint", str(ckpt)],
+                             input="".join(lines))
+
+    @staticmethod
+    def skips(result, offset=0):
+        """The (line number in the whole stream, reason) of each skipped line;
+        the exit code says whether there were any."""
+        found = [re.fullmatch(r"line (\d+): (skipped: .*)", line).groups()
+                 for line in result.stderr.splitlines()]
+        assert result.exit_code == (1 if found else 0), result.stderr
+        return [(int(number) + offset, reason) for number, reason in found]
+
+    def test_random_cuts(self, runner, tmp_path):
+        lines = self.stream()
+        whole = self.detect(runner, tmp_path / "whole.ckpt", lines)
+        whole_skips = self.skips(whole)
+        assert len(whole_skips) >= 5
+        assert ",0.5," in whole.stdout and ",10," in whole.stdout  # re-formatted points
+        skipped = {number for number, _ in whole_skips}
+        points = [n for n, line in enumerate(lines, 1) if line.strip() and n not in skipped]
+        for cut in random.Random(20261022).sample(range(points[99], len(lines)), 20):
+            ckpt = tmp_path / f"cut-{cut}.ckpt"
+            head = self.detect(runner, ckpt, lines[:cut])
+            tail = self.detect(runner, ckpt, lines[cut:])
+            assert head.stdout + tail.stdout == whole.stdout, cut
+            assert ckpt.read_bytes() == (tmp_path / "whole.ckpt").read_bytes(), cut
+            assert self.skips(head) + self.skips(tail, cut) == whole_skips, cut
+
+    def test_cut_at_a_wrong_width_line(self, runner, tmp_path):
+        # The fatal line takes no index: the checkpoint counts the points
+        # before it, and the run resumed after it prints what a run without it
+        # prints.
+        lines = self.stream()
+        ckpt = tmp_path / "model.ckpt"
+        head = self.detect(runner, ckpt, [*lines[:300], "1,2\n"])
+        assert head.exit_code == 2
+        assert head.stderr.endswith("line 301: fatal: dimension changed from 3 to 2\n")
+        consumed = load_checkpoint(ckpt)[1]
+        assert consumed == 100 + len(head.stdout.splitlines())
+        tail = self.detect(runner, ckpt, lines[300:])
+        assert tail.stdout.startswith(f"{consumed},")
+        whole = self.detect(runner, tmp_path / "whole.ckpt", lines)
+        assert head.stdout + tail.stdout == whole.stdout
+        assert ckpt.read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+
+
+class TestByteOrderMark:
+    """Input that starts with a UTF-8 byte-order mark reads as the same input
+    without it, from stdin or a file; a mark anywhere else is part of its line."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    @staticmethod
+    def stream(mode) -> bytes:
+        points = gen_random_stream(30, 1 if mode == "univariate" else 3, seed=14)
+        return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in points).encode()
+
+    @pytest.mark.parametrize("source", ["stdin", "file", "process"])
+    @pytest.mark.parametrize("mode", ["univariate", "multivariate"])
+    def test_leading_mark_is_not_part_of_the_first_line(self, runner, tmp_path, mode, source):
+        args = ["detect", "--mode", mode, "--static-points", "5"]
+        data = self.stream(mode)
+        clean = runner.invoke(main, args, input=data)
+        assert clean.exit_code == 0 and clean.stderr == ""
+        if source == "process":  # the process's own stdin, not CliRunner's stand-in
+            src = Path(__file__).resolve().parents[1] / "src"
+            run = subprocess.run([sys.executable, "-m", "driftwatch.cli", *args],
+                                 input=self.BOM + data, capture_output=True, timeout=120,
+                                 env={**os.environ, "PYTHONPATH": str(src)})
+            outcome = (run.returncode, run.stdout.decode(), run.stderr.decode())
+        else:
+            if source == "file":
+                (tmp_path / "points.csv").write_bytes(self.BOM + data)
+                result = runner.invoke(main, [*args, str(tmp_path / "points.csv")])
+            else:
+                result = runner.invoke(main, args, input=self.BOM + data)
+            outcome = (result.exit_code, result.stdout, result.stderr)
+        assert outcome == (0, clean.stdout, "")
+
+    @pytest.mark.parametrize("mode", ["univariate", "multivariate"])
+    def test_mark_after_the_first_line_is_skipped(self, runner, mode):
+        args = ["detect", "--mode", mode, "--static-points", "5"]
+        lines = self.stream(mode).splitlines(keepends=True)
+        result = runner.invoke(main, args, input=b"".join([*lines[:9], self.BOM + lines[9],
+                                                            *lines[10:]]))
+        assert result.exit_code == 1
+        first = lines[9].decode().split(",")[0].strip()  # the field that holds the mark
+        assert result.stderr == \
+            f"line 10: skipped: could not convert string to float: '\\ufeff{first}'\n"
+        without = runner.invoke(main, args, input=b"".join(lines[:9] + lines[10:]))
+        assert result.stdout == without.stdout
 
 
 class TestNumpyOnFirstUse:
