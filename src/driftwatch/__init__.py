@@ -30,7 +30,7 @@ from .detector import (
     GaussianModel,
     derive_blend,
     fit_static,
-    load_model,
+    load_checkpoint,
     save_model,
     score,
     update_many,

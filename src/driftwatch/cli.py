@@ -216,7 +216,11 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
                 model = update_online(model, x)
 
         if checkpoint is not None and model is not None:
-            save_model(model, checkpoint, consumed)
+            try:
+                save_model(model, checkpoint, consumed)
+            except OSError as exc:
+                err.write(f"fatal: checkpoint not saved: {exc}\n")
+                fatal = True
         elif checkpoint is not None and buffer and not fatal:  # resuming would fit on later points
             err.write(f"fatal: stream ended after {len(buffer)} of {config.static_count_points} "
                       "static points; no checkpoint written\n")

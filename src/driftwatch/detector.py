@@ -23,12 +23,12 @@ log-density falls below log tau; it returns the ``Verdict`` that
 ``pewma`` defines for both detectors. ``GaussianModel``, built once per
 point, is a plain slotted dataclass, not frozen; no function here mutates
 the model it is given (the updates return a new one), and callers treat
-it as read-only.
+it as read-only. A checkpoint is the text ``model_to_text`` writes and
+``model_from_text`` reads; ``save_model`` and ``load_checkpoint`` add the file.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -320,6 +320,8 @@ def score(model: GaussianModel, x, tau: float | None = None) -> Verdict:
 
 # --- checkpoint serialization ------------------------------------------------
 #
+# ``model_to_text`` is the one writer of this format and ``model_from_text``
+# the one reader; ``save_model`` and ``load_checkpoint`` only touch the path.
 # Flat text format: the version line, a header line "m n", a state line
 # "alpha beta log_det updates_since_refactor jitter_used s points", then the
 # running sum of the absorbed points (the mean is derived, sum / n), then
@@ -334,45 +336,24 @@ def _fmt_row(row) -> str:
     return " ".join(f"{v:.17g}" for v in row)
 
 
-def save_model(model: GaussianModel, dest, points: int | None = None) -> None:
-    """Write a model checkpoint to a path or text file object; ``points`` is
-    the count of data points consumed, ``model.n`` unless given.
-
-    A path is written atomically: the checkpoint goes to ``<path>.tmp``,
-    which then replaces the path, so a failed write leaves the old file as
-    it was and removes the temporary one."""
-    if isinstance(dest, (str, os.PathLike)):
-        tmp = os.fspath(dest) + ".tmp"
-        try:
-            with open(tmp, "w", encoding="ascii") as handle:
-                save_model(model, handle, points)
-            os.replace(tmp, dest)
-        finally:  # the file is left only where the write failed
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        return
-    dest.write(CHECKPOINT_VERSION + "\n")
-    dest.write(f"{model.m} {model.n}\n")
-    dest.write(
-        f"{_fmt_row((model.blend.alpha, model.blend.beta, model.log_det))} "
-        f"{model.updates_since_refactor} {_fmt_row((model.jitter_used, model.s))} "
-        f"{model.n if points is None else points}\n"
-    )
-    dest.write(_fmt_row(model.total) + "\n")
-    for row in (*model.root[: model.m], *model.root[model.m :].T):
-        dest.write(_fmt_row(row) + "\n")
+def model_to_text(model: GaussianModel, points: int | None = None) -> str:
+    """The checkpoint text of ``model`` and ``points``, the count of data
+    points consumed, ``model.n`` unless given. A count below ``model.n``,
+    which ``model_from_text`` would refuse, raises InvalidInputError."""
+    points = model.n if points is None else points
+    if points < model.n:
+        raise InvalidInputError(f"checkpoint point count {points} is below n = {model.n}")
+    state = (f"{_fmt_row((model.blend.alpha, model.blend.beta, model.log_det))} "
+             f"{model.updates_since_refactor} {_fmt_row((model.jitter_used, model.s))} {points}")
+    rows = map(_fmt_row, (model.total, *model.root[: model.m], *model.root[model.m :].T))
+    return "\n".join((CHECKPOINT_VERSION, f"{model.m} {model.n}", state, *rows, ""))
 
 
-def load_model(src) -> GaussianModel:
-    """Read the model of a checkpoint written by ``save_model``."""
-    return load_checkpoint(src)[0]
+def model_from_text(text: str) -> tuple[GaussianModel, int]:
+    """Read checkpoint text written by ``model_to_text``: the model and the
+    count of data points consumed. Lines end at "\\n" alone, as in a file.
 
-
-def load_checkpoint(src) -> tuple[GaussianModel, int]:
-    """Read a checkpoint written by ``save_model``: the model and the count
-    of data points consumed.
-
-    Raises InvalidInputError unless the file starts with the current version
+    Raises InvalidInputError unless the text starts with the current version
     line, every value is finite, the blend weights are of the
     form ``derive_blend`` gives, 0 < beta < 1 and alpha = 1 - beta, the refactor
     counter is in [0, ``REFACTOR_EVERY``), the jitter is >= 0, s is > 0, the
@@ -381,10 +362,7 @@ def load_checkpoint(src) -> tuple[GaussianModel, int]:
     is within ``LOG_DET_TOL`` + m ‖A B - I‖max of the QR's. That last term
     covers the rounding of a B that is not exactly A⁻¹.
     """
-    if isinstance(src, (str, os.PathLike)):
-        with open(src, "r", encoding="ascii", errors="replace") as handle:
-            return load_checkpoint(handle)
-    lines = [line.strip() for line in src if line.strip()]
+    lines = [line for line in map(str.strip, text.split("\n")) if line]
     if lines[:1] != [CHECKPOINT_VERSION]:
         raise InvalidInputError(f"checkpoint does not start with {CHECKPOINT_VERSION!r}")
     header = lines[1].split() if len(lines) > 1 else []
@@ -415,15 +393,15 @@ def load_checkpoint(src) -> tuple[GaussianModel, int]:
     if not 0 <= updates < REFACTOR_EVERY or jitter_used < 0.0 or s <= 0.0 or points < n:
         raise InvalidInputError(f"checkpoint state out of range: {lines[2]!r}")
 
-    def parse_row(text, label):
+    def parse_row(line, label):
         try:
-            row = np.array([float(tok) for tok in text.split()], dtype=np.float64)
+            row = np.array([float(tok) for tok in line.split()], dtype=np.float64)
         except ValueError as exc:
-            raise InvalidInputError(f"malformed {label} row: {text!r}") from exc
+            raise InvalidInputError(f"malformed {label} row: {line!r}") from exc
         if row.shape[0] != m:
             raise InvalidInputError(f"{label} row has {row.shape[0]} entries, expected {m}")
         if not np.isfinite(row).all():
-            raise InvalidInputError(f"non-finite {label} row: {text!r}")
+            raise InvalidInputError(f"non-finite {label} row: {line!r}")
         return row
 
     total = parse_row(lines[3], "sum")
@@ -447,8 +425,23 @@ def load_checkpoint(src) -> tuple[GaussianModel, int]:
                          updates, jitter_used), points
 
 
-def model_to_text(model: GaussianModel) -> str:
-    """Checkpoint contents as a string (convenience for tests and tools)."""
-    buf = io.StringIO()
-    save_model(model, buf)
-    return buf.getvalue()
+def save_model(model: GaussianModel, path, points: int | None = None) -> None:
+    """Write ``model_to_text(model, points)`` to ``<path>.tmp``, then rename it
+    over ``path``. Once that file is open, any failure removes it, so the old
+    file stays; a ``<path>.tmp`` that cannot be opened is left alone."""
+    text = model_to_text(model, points)
+    tmp = os.fspath(path) + ".tmp"
+    handle = open(tmp, "w", encoding="ascii")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def load_checkpoint(path) -> tuple[GaussianModel, int]:
+    """``model_from_text`` of the file at ``path``, read as ASCII; any other byte is refused."""
+    with open(path, encoding="ascii", errors="replace") as handle:
+        return model_from_text(handle.read())

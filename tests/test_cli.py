@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from driftwatch import cli
+from driftwatch import cli, detector
 from driftwatch.cli import (
     DetectorConfig,
     _parse_scalar,
@@ -22,7 +22,7 @@ from driftwatch.cli import (
     main,
     run_detect,
 )
-from driftwatch.detector import fit_static, load_checkpoint, load_model, score, update_online
+from driftwatch.detector import fit_static, load_checkpoint, score, update_online
 from driftwatch.errors import InvalidInputError
 from driftwatch import pewma
 from driftwatch.pewma import (
@@ -34,7 +34,7 @@ from driftwatch.pewma import (
     pewma_step,
 )
 from driftwatch.harness import gen_random_stream, gen_shift_stream, ShiftSpec, run_experiment_1
-from test_detector import awkward_stream
+from test_detector import awkward_stream, open_on_a_full_disk
 
 
 @pytest.fixture
@@ -298,7 +298,7 @@ class TestDetectMultivariate:
             input=first,
         )
         assert result.exit_code == 0
-        model = load_model(ckpt)
+        model = load_checkpoint(ckpt)[0]
         assert model.m == 2 and model.n == 220
 
         # Second invocation resumes: every point is scored, none buffered.
@@ -312,7 +312,7 @@ class TestDetectMultivariate:
         assert result.exit_code == 0
         resumed = result.stdout.splitlines()
         assert len(resumed) == 30
-        assert load_model(ckpt).n == 250
+        assert load_checkpoint(ckpt)[0].n == 250
 
         # The resumed verdicts equal those of one uninterrupted run, byte for
         # byte, index included: the checkpoint carries the count of points read.
@@ -322,6 +322,52 @@ class TestDetectMultivariate:
         )
         assert resumed == whole.stdout.splitlines()[-30:]
         assert resumed[0].startswith("220,")
+
+    @pytest.mark.parametrize("process", [False, True], ids=["runner", "process"])
+    def test_unsavable_checkpoint_is_fatal_after_every_verdict(self, runner, tmp_path, process):
+        # A directory at PATH.tmp passes the up-front path rule, so only the
+        # save at the end fails: a fatal line and exit 2, not a traceback, after
+        # every verdict, and the directory left as it was.
+        (tmp_path / "model.ckpt.tmp").mkdir()
+        text = simulate(runner, "--kind", "abrupt-transient", "--dim", "3", "--count", "120")
+        args = ["detect", "--mode", "multivariate", "--checkpoint", str(tmp_path / "model.ckpt")]
+        if process:
+            src = Path(__file__).resolve().parents[1] / "src"
+            run = subprocess.run([sys.executable, "-m", "driftwatch.cli", *args], input=text,
+                                 capture_output=True, text=True, timeout=120,
+                                 env={**os.environ, "PYTHONPATH": str(src)})
+            code, out, err = run.returncode, run.stdout, run.stderr
+        else:
+            result = runner.invoke(main, args, input=text)
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            code, out, err = result.exit_code, result.stdout, result.stderr
+        whole = runner.invoke(main, args[:3], input=text)
+        assert code == 2
+        assert out == whole.stdout and len(out.splitlines()) == 20
+        assert err.startswith("fatal: checkpoint not saved: ") and "Is a directory" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt.tmp"]
+        assert (tmp_path / "model.ckpt.tmp").is_dir()
+
+    def test_resumed_run_whose_save_fails_keeps_the_old_checkpoint(self, runner, tmp_path,
+                                                                   monkeypatch):
+        # A full disk during the save: exit 2 after every verdict, and the
+        # checkpoint the run resumed from is left byte for byte.
+        lines = simulate(runner, "--kind", "abrupt-distributional", "--dim", "3",
+                         "--count", "300", "--seed", "1").splitlines(keepends=True)
+        ckpt = tmp_path / "model.ckpt"
+        args = ["detect", "--mode", "multivariate", "--checkpoint", str(ckpt)]
+        assert runner.invoke(main, args, input="".join(lines[:150])).exit_code == 0
+        saved = ckpt.read_bytes()
+        monkeypatch.setattr(detector, "open", open_on_a_full_disk, raising=False)
+        resumed = runner.invoke(main, args, input="".join(lines[150:]))
+        monkeypatch.undo()
+        whole = runner.invoke(main, args[:3], input="".join(lines))
+        assert resumed.exit_code == 2
+        assert resumed.stderr == "fatal: checkpoint not saved: [Errno 28] No space left on device\n"
+        assert resumed.stdout.splitlines() == whole.stdout.splitlines()[50:]
+        assert ckpt.read_bytes() == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_malformed_and_non_finite_lines_skipped(self, runner):
         lines = self.stream_text(130, 3, seed=9).splitlines()
@@ -501,7 +547,7 @@ class TestDetectMultivariate:
         verdicts = huge.stdout.splitlines()
         assert len(verdicts) == 30
         assert verdicts[10].startswith("110,") and verdicts[10].endswith(",true")
-        assert load_model(ckpt).n == 129
+        assert load_checkpoint(ckpt)[0].n == 129
         assert load_checkpoint(ckpt)[1] == 130  # the refused point was read too
         without = runner.invoke(main, args, input="\n".join(lines) + "\n").stdout.splitlines()
         log_score = lambda row: row.split(",")[-2]

@@ -1,5 +1,4 @@
 import errno
-import io
 import math
 from dataclasses import fields, replace
 
@@ -14,7 +13,7 @@ from driftwatch.detector import (
     derive_blend,
     fit_static,
     load_checkpoint,
-    load_model,
+    model_from_text,
     model_to_text,
     save_model,
     score,
@@ -573,7 +572,7 @@ class TestCheckpoint:
         for _ in range(10):
             model = update_online(model, rng.standard_normal(3))
         text = model_to_text(model)
-        loaded = load_model(io.StringIO(text))
+        loaded = model_from_text(text)[0]
         assert model_to_text(loaded) == text
         np.testing.assert_array_equal(loaded.mu, model.mu)
         np.testing.assert_array_equal(loaded.root, model.root)
@@ -588,7 +587,7 @@ class TestCheckpoint:
         model = fitted_model(rng, n=40, dim=4)
         for _ in range(100):
             model = update_online(model, rng.standard_normal(4) * 2.0 + 0.5)
-        loaded = load_model(io.StringIO(model_to_text(model)))
+        loaded = model_from_text(model_to_text(model))[0]
         assert loaded.blend == model.blend
         assert loaded.log_det == model.log_det
         assert loaded.updates_since_refactor == model.updates_since_refactor == 100
@@ -602,21 +601,65 @@ class TestCheckpoint:
         model = fitted_model(rng, n=50, dim=2)
         path = tmp_path / "model.ckpt"
         save_model(model, path, points=57)
+        assert path.read_text(encoding="ascii") == model_to_text(model, 57)
         loaded, points = load_checkpoint(path)
         assert points == 57
         np.testing.assert_array_equal(loaded.root, model.root)
-        assert load_checkpoint(io.StringIO(model_to_text(model)))[1] == model.n
+        assert model_from_text(model_to_text(model))[1] == model.n
+
+    @pytest.mark.parametrize("points", [49, -1])
+    def test_point_count_below_n_not_written(self, tmp_path, points):
+        # The reader refuses fewer points than the model absorbed, so the
+        # writer does not write them, and opens no file.
+        model = fitted_model(np.random.default_rng(73), n=50, dim=2)
+        with pytest.raises(InvalidInputError, match=f"point count {points} is below"):
+            model_to_text(model, points)
+        with pytest.raises(InvalidInputError, match=f"point count {points} is below"):
+            save_model(model, tmp_path / "model.ckpt", points)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "newline,sep",
+        [("\r\n", " "), ("\n\n \n", " "), ("\n", "\x0b"), ("\n", "\x0c"), ("\n", "\x1c")],
+        ids=["crlf", "blank-lines", "vt", "ff", "fs"],
+    )
+    def test_line_endings_and_whitespace_load(self, tmp_path, newline, sep):
+        # Lines end at "\n", as a file's do, not at every break of
+        # str.splitlines: whitespace inside the sum row splits no line.
+        model = fitted_model(np.random.default_rng(77), n=50, dim=3)
+        text = model_to_text(model)
+        lines = text.split("\n")
+        lines[self.SUM_ROW] = lines[self.SUM_ROW].replace(" ", sep)
+        edited = newline.join(lines)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(edited.encode("ascii"))
+        for loaded, points in (model_from_text(edited), load_checkpoint(path)):
+            assert model_to_text(loaded, points) == text
+
+    def test_next_line_separator(self, tmp_path):
+        # U+0085 is whitespace in a row of text, but not ASCII, so a file
+        # holding it is refused.
+        model = fitted_model(np.random.default_rng(77), n=50, dim=3)
+        text = model_to_text(model)
+        lines = text.split("\n")
+        lines[self.SUM_ROW] = lines[self.SUM_ROW].replace(" ", "\x85")
+        edited = "\n".join(lines)
+        assert model_to_text(*model_from_text(edited)) == text
+        path = tmp_path / "model.ckpt"
+        path.write_text(edited, encoding="latin-1")
+        with pytest.raises(InvalidInputError, match="malformed sum row"):
+            load_checkpoint(path)
 
     def test_truncated_checkpoint_rejected(self):
         rng = np.random.default_rng(74)
         model = fitted_model(rng, n=50, dim=2)
         lines = model_to_text(model).splitlines()
         with pytest.raises(InvalidInputError):
-            load_model(io.StringIO("\n".join(lines[:-1])))
+            model_from_text("\n".join(lines[:-1]))[0]
 
     def test_garbage_header_rejected(self):
         with pytest.raises(InvalidInputError):
-            load_model(io.StringIO("not a header\n"))
+            model_from_text("not a header\n")[0]
 
     # Line layout: version, "m n", state, sum, then the rows of A, then of B.
     STATE_ROW, SUM_ROW, FIRST_ROOT_ROW = 2, 3, 4
@@ -626,7 +669,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(75)
         lines = model_to_text(fitted_model(rng, n=50, dim=3)).splitlines()
         edit(lines)
-        return io.StringIO("\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
 
     @staticmethod
     def set_entry(lines, row, col, value):
@@ -647,19 +690,19 @@ class TestCheckpoint:
     def test_bad_header_rejected(self, header, match):
         text = self.corrupt_lines(lambda lines: lines.__setitem__(1, header))
         with pytest.raises(InvalidInputError, match=match):
-            load_model(text)
+            model_from_text(text)[0]
 
     def test_non_number_in_a_row_rejected(self):
         text = self.corrupt_lines(lambda lines: self.set_entry(lines, self.FIRST_ROOT_ROW, 0, "abc"))
         with pytest.raises(InvalidInputError, match="malformed square-root row"):
-            load_model(text)
+            model_from_text(text)[0]
 
     def test_row_of_the_wrong_length_rejected(self):
         def extend_sum(lines):
             lines[self.SUM_ROW] += " 0.5"
 
         with pytest.raises(InvalidInputError, match="sum row has 4 entries, expected 3"):
-            load_model(self.corrupt_lines(extend_sum))
+            model_from_text(self.corrupt_lines(extend_sum))[0]
 
     @pytest.mark.parametrize(
         "row,match",
@@ -670,14 +713,14 @@ class TestCheckpoint:
     def test_non_ascii_file_rejected(self, tmp_path, row, match):
         path = tmp_path / "model.ckpt"
         text = self.corrupt_lines(lambda lines: lines.__setitem__(row, "\ufeff" + lines[row]))
-        path.write_text(text.getvalue(), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(InvalidInputError, match=match):
-            load_model(path)
+            load_checkpoint(path)[0]
 
     def test_non_finite_inverse_rejected(self):
         text = self.corrupt_lines(lambda lines: self.set_entry(lines, -1, -1, "nan"))
         with pytest.raises(InvalidInputError, match="non-finite"):
-            load_model(text)
+            model_from_text(text)[0]
 
     def test_covariance_needing_jitter_rejected(self):
         # Two equal rows of A make C singular: its QR needs the jitter step.
@@ -685,7 +728,7 @@ class TestCheckpoint:
             lines[self.FIRST_ROOT_ROW + 1] = lines[self.FIRST_ROOT_ROW]
 
         with pytest.raises(InvalidInputError, match="does not factorize"):
-            load_model(self.corrupt_lines(repeat_row))
+            model_from_text(self.corrupt_lines(repeat_row))[0]
 
     def test_negated_inverse_rejected(self):
         # Every d² = ‖B d‖² / s would be unchanged, but each blend would move
@@ -695,18 +738,18 @@ class TestCheckpoint:
                 lines[-i] = " ".join(repr(-float(tok)) for tok in lines[-i].split())
 
         with pytest.raises(InvalidInputError, match="does not invert"):
-            load_model(self.corrupt_lines(negate_inverse))
+            model_from_text(self.corrupt_lines(negate_inverse))[0]
 
     def test_inverse_off_its_square_root_rejected(self):
         text = self.corrupt_lines(lambda lines: self.set_entry(lines, -3, 1, "0.123"))
         with pytest.raises(InvalidInputError, match="does not invert its square root"):
-            load_model(text)
+            model_from_text(text)[0]
 
     def test_missing_version_line_rejected(self):
         # A checkpoint without the version line, such as the older format of
         # factor rows, must never be read as a model.
         with pytest.raises(InvalidInputError, match="driftwatch-model 5"):
-            load_model(self.corrupt_lines(lambda lines: lines.pop(0)))
+            model_from_text(self.corrupt_lines(lambda lines: lines.pop(0)))[0]
 
     def test_version_3_rejected(self):
         # Version 3 stored the mean where later versions store the sum; read
@@ -718,7 +761,7 @@ class TestCheckpoint:
             lines[self.SUM_ROW] = " ".join(f"{v:.17g}" for v in mean)
 
         with pytest.raises(InvalidInputError, match="driftwatch-model 5"):
-            load_model(self.corrupt_lines(as_version_3))
+            model_from_text(self.corrupt_lines(as_version_3))[0]
 
     def test_round_trip_after_fold_and_batch(self):
         rng = np.random.default_rng(76)
@@ -726,7 +769,7 @@ class TestCheckpoint:
         for x in rng.standard_normal((20, 3)) * 2.0 + 0.5:
             model = update_online(model, x)
         model = update_many(model, rng.standard_normal((30, 3)) * 2.0 + 0.5)
-        loaded = load_model(io.StringIO(model_to_text(model)))
+        loaded = model_from_text(model_to_text(model))[0]
         assert loaded.n == model.n == 90
         np.testing.assert_array_equal(loaded.total, model.total)
         np.testing.assert_array_equal(loaded.mu, model.mu)
@@ -735,7 +778,7 @@ class TestCheckpoint:
         # Version 2 lacks the state line, so it cannot resume exactly.
         text = self.corrupt_lines(lambda lines: lines.__setitem__(0, "driftwatch-model 2"))
         with pytest.raises(InvalidInputError, match="driftwatch-model 5"):
-            load_model(text)
+            model_from_text(text)[0]
 
     @pytest.mark.parametrize(
         "col,value,match",
@@ -763,7 +806,7 @@ class TestCheckpoint:
     def test_bad_state_rejected(self, col, value, match):
         text = self.corrupt_lines(lambda lines: self.set_entry(lines, self.STATE_ROW, col, value))
         with pytest.raises(InvalidInputError, match=match):
-            load_model(text)
+            model_from_text(text)[0]
 
     def test_overflowing_square_root_rejected(self):
         # A B is still I, but sqrt(s) Aᵀ overflows to inf: refused as a
@@ -776,7 +819,7 @@ class TestCheckpoint:
                 lines[inverse] = " ".join(repr(float(tok) * 1e-200) for tok in lines[inverse].split())
 
         with pytest.raises(InvalidInputError, match="does not factorize"):
-            load_model(self.corrupt_lines(scale))
+            model_from_text(self.corrupt_lines(scale))[0]
 
     def test_failed_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
         # A write that fails part way, as on a full disk, leaves the file it
@@ -785,19 +828,20 @@ class TestCheckpoint:
         model = fitted_model(rng, n=50, dim=3)
         path = tmp_path / "model.ckpt"
         save_model(model, path)
-        fmt_row, calls = detector._fmt_row, []
-
-        def full_disk_on_the_fourth_row(row):
-            calls.append(row)
-            if len(calls) == 4:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return fmt_row(row)
-
-        monkeypatch.setattr(detector, "_fmt_row", full_disk_on_the_fourth_row)
+        monkeypatch.setattr(detector, "open", open_on_a_full_disk, raising=False)
         with pytest.raises(OSError, match="No space left"):
             save_model(update_online(model, rng.standard_normal(3)), path)
         monkeypatch.undo()
-        assert same_model(load_model(path), model)
+        assert same_model(load_checkpoint(path)[0], model)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_failed_replace_removes_the_temporary_file(self, tmp_path):
+        # A directory at the path: the temporary file is written, the rename
+        # over the directory fails, and the file is removed.
+        model = fitted_model(np.random.default_rng(79), n=50, dim=3)
+        (tmp_path / "model.ckpt").mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_model(model, tmp_path / "model.ckpt")
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_state_with_a_missing_field_rejected(self):
@@ -805,7 +849,20 @@ class TestCheckpoint:
             lines[self.STATE_ROW] = lines[self.STATE_ROW].rsplit(" ", 1)[0]
 
         with pytest.raises(InvalidInputError, match="malformed checkpoint state"):
-            load_model(self.corrupt_lines(drop_last))
+            model_from_text(self.corrupt_lines(drop_last))[0]
+
+
+def open_on_a_full_disk(file, mode="r", **kwargs):
+    """``open``, but a file opened for writing takes half of its first
+    write and then fails as a full disk does."""
+    handle = open(file, mode, **kwargs)
+    if "w" in mode:
+        def write(text):
+            handle.buffer.write(text[: len(text) // 2].encode())
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        handle.write = write
+    return handle
 
 
 def same_model(one, other):
@@ -851,7 +908,7 @@ class TestExactSymmetry:
             static, online = data[: 2 * m], data[2 * m :]
             model = fit_static(static)
             self.assert_symmetric(model)
-            self.assert_symmetric(load_model(io.StringIO(model_to_text(model))))
+            self.assert_symmetric(model_from_text(model_to_text(model))[0])
             gamma = model.blend.beta / model.blend.alpha
             for i, x in enumerate(online):
                 if i == 5:  # x at the mean takes the blend too: C' = alpha C
@@ -880,7 +937,7 @@ class TestExactSymmetry:
                 model = new
             batch = update_many(fit_static(static), online)
             self.assert_symmetric(batch)
-            self.assert_symmetric(load_model(io.StringIO(model_to_text(batch))))
+            self.assert_symmetric(model_from_text(model_to_text(batch))[0])
         assert paths == {"refused", "rank-one", "periodic rebuild", "drift rebuild",
                          "swamp rebuild"}
 
@@ -1081,7 +1138,7 @@ class TestIllConditionedStreams:
     1e-6 to 1e6 and rotated, columns collinear to 1e-8, heavy tails, a
     1e12 offset and huge spikes. Carrying C and C⁻¹ squared their condition
     number: every update on rotated scales was an early O(m³) rebuild, and
-    ``load_model`` refused most checkpoints of collinear streams."""
+    the checkpoint reader refused most checkpoints of collinear streams."""
 
     @staticmethod
     def stream(kind, m, updates):
@@ -1099,7 +1156,7 @@ class TestIllConditionedStreams:
                 if new is not model and new.updates_since_refactor == 0:
                     assert model.updates_since_refactor == REFACTOR_EVERY - 1, (kind, i)
                 if i % 60 == 0:  # a sample of the models, to keep the sweep short
-                    loaded = load_model(io.StringIO(model_to_text(model)))
+                    loaded = model_from_text(model_to_text(model))[0]
                     assert same_model(loaded, model), (kind, i)
                     assert score(loaded, x) == score(model, x), (kind, i)
                     assert same_model(update_online(loaded, x), new), (kind, i)
