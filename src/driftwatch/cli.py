@@ -35,9 +35,9 @@ from .harness import (
     SHIFT_KINDS,
     ShiftSpec,
     gen_random_stream,
+    gen_shift_stream,
     run_experiment_1,
     run_experiment_2,
-    shift_offsets,
     write_reports_csv,
 )
 from .pewma import FIRST_VERDICT, PewmaParams, pewma_init, pewma_step
@@ -283,8 +283,7 @@ def detect(ctx, input_file, fmt, header, checkpoint, **settings):
 def simulate(count, seed, dim, fmt, **spec):
     """Emit a synthetic stream, one point per line (CSV for dim > 1)."""
     try:
-        offsets = shift_offsets(count, ShiftSpec(**spec))
-        stream = gen_random_stream(count, dim, seed) + offsets[:, None]
+        stream = gen_shift_stream(count, dim, seed, ShiftSpec(**spec))
     except InvalidInputError as exc:
         raise click.UsageError(str(exc)) from exc
     out = sys.stdout

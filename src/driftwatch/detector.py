@@ -30,6 +30,7 @@ it as read-only. A checkpoint is the text ``model_to_text`` writes and
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -338,9 +339,12 @@ def _fmt_row(row) -> str:
 
 def model_to_text(model: GaussianModel, points: int | None = None) -> str:
     """The checkpoint text of ``model`` and ``points``, the count of data
-    points consumed, ``model.n`` unless given. A count below ``model.n``,
-    which ``model_from_text`` would refuse, raises InvalidInputError."""
-    points = model.n if points is None else points
+    points consumed, ``model.n`` unless given. A count ``model_from_text``
+    would refuse, not an integer or below ``model.n``, raises InvalidInputError."""
+    try:
+        points = model.n if points is None else operator.index(points)
+    except TypeError as exc:
+        raise InvalidInputError(f"checkpoint point count {points!r} is not an integer") from exc
     if points < model.n:
         raise InvalidInputError(f"checkpoint point count {points} is below n = {model.n}")
     state = (f"{_fmt_row((model.blend.alpha, model.blend.beta, model.log_det))} "

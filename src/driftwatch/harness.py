@@ -1,5 +1,5 @@
 """Experiment engine: AAD metric, segmented static-vs-online protocols, and
-synthetic stream generators.
+synthetic streams, where ``gen_shift_stream`` alone builds shifted ones and owns their kinds.
 
 Both experiment protocols split the stream into ``N_SEGMENTS`` segments,
 fit the model on a growing static prefix, run the online updates over part
@@ -171,8 +171,8 @@ def gen_random_stream(count: int, dim: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((count, dim))
 
 
-def shift_offsets(count: int, spec: ShiftSpec) -> np.ndarray:
-    """Additive mean profile of a shift over a length-``count`` stream (>= 10)."""
+def gen_shift_stream(count: int, dim: int, seed: int, spec: ShiftSpec) -> np.ndarray:
+    """``gen_random_stream`` (count >= 10) plus the shift's mean profile on every coordinate."""
     if count < 10:
         raise InvalidInputError(f"count must be >= 10, got {count}")
     pos = int(spec.at * count)
@@ -184,13 +184,7 @@ def shift_offsets(count: int, spec: ShiftSpec) -> np.ndarray:
     else:
         steps = np.arange(1, count - pos + 1, dtype=np.float64)
         offsets[pos:] = spec.magnitude * np.minimum(steps / spec.ramp, 1.0)
-    return offsets
-
-
-def gen_shift_stream(count: int, spec: ShiftSpec, seed: int) -> np.ndarray:
-    """Standard-normal scalar stream with the given shift applied."""
-    offsets = shift_offsets(count, spec)
-    return gen_random_stream(count, 1, seed)[:, 0] + offsets
+    return gen_random_stream(count, dim, seed) + offsets[:, None]
 
 
 def write_reports_csv(out, tagged_reports) -> None:

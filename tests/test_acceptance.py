@@ -174,7 +174,7 @@ def test_criterion_06_shift_resilience_versus_ewma():
     start = time.perf_counter()
     wins = 0
     for seed in range(50):
-        stream = gen_shift_stream(count, spec, seed)
+        stream = gen_shift_stream(count, 1, seed, spec)[:, 0]
         p = int(pewma_flags(stream)[shift_at : shift_at + window].sum())
         e = int(ewma_flags(stream)[shift_at : shift_at + window].sum())
         wins += p < e

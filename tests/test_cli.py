@@ -33,7 +33,13 @@ from driftwatch.pewma import (
     pewma_init,
     pewma_step,
 )
-from driftwatch.harness import gen_random_stream, gen_shift_stream, ShiftSpec, run_experiment_1
+from driftwatch.harness import (
+    SHIFT_KINDS,
+    ShiftSpec,
+    gen_random_stream,
+    gen_shift_stream,
+    run_experiment_1,
+)
 from test_detector import awkward_stream, open_on_a_full_disk
 
 
@@ -63,12 +69,14 @@ class TestSimulate:
         args = ["--kind", "abrupt-transient", "--count", "50", "--seed", "11"]
         assert simulate(runner, *args) == simulate(runner, *args)
 
-    def test_matches_generator_exactly(self, runner):
-        out = simulate(runner, "--kind", "abrupt-distributional", "--count", "40",
-                       "--seed", "5", "--at", "0.5", "--magnitude", "2.0")
-        values = np.array([float(line) for line in out.splitlines()])
-        spec = ShiftSpec(kind="abrupt-distributional", at=0.5, magnitude=2.0)
-        np.testing.assert_array_equal(values, gen_shift_stream(40, spec, seed=5))
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("kind", SHIFT_KINDS)
+    def test_matches_generator_exactly(self, runner, kind, dim):
+        out = simulate(runner, "--kind", kind, "--count", "40", "--seed", "5", "--at", "0.5",
+                       "--magnitude", "2.0", "--ramp", "7", "--dim", str(dim))
+        values = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()])
+        spec = ShiftSpec(kind=kind, at=0.5, magnitude=2.0, ramp=7)
+        np.testing.assert_array_equal(values, gen_shift_stream(40, dim, 5, spec))
 
     def test_transient_deviates_in_exactly_one_line(self, runner):
         base = simulate(runner, "--kind", "abrupt-transient", "--count", "100",
@@ -890,7 +898,7 @@ class TestOutputContract:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_univariate(self, runner, fmt):
         spec = ShiftSpec(kind="abrupt-distributional", at=0.5, magnitude=5.0)
-        values = gen_shift_stream(300, spec, seed=3).tolist()
+        values = gen_shift_stream(300, 1, 3, spec)[:, 0].tolist()
         lines = [f"{v:.17g}" for v in values]
         lines.insert(100, "abc")
         result = runner.invoke(main, ["detect", "--format", fmt], input="\n".join(lines) + "\n")

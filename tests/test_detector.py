@@ -606,6 +606,8 @@ class TestCheckpoint:
         assert points == 57
         np.testing.assert_array_equal(loaded.root, model.root)
         assert model_from_text(model_to_text(model))[1] == model.n
+        save_model(model, path, points=np.int64(57))  # any operator.index integer
+        assert path.read_text(encoding="ascii") == model_to_text(model, 57)
 
     @pytest.mark.parametrize("points", [49, -1])
     def test_point_count_below_n_not_written(self, tmp_path, points):
@@ -615,6 +617,18 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError, match=f"point count {points} is below"):
             model_to_text(model, points)
         with pytest.raises(InvalidInputError, match=f"point count {points} is below"):
+            save_model(model, tmp_path / "model.ckpt", points)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("points", [57.0, np.float64(57.0), "57"],
+                             ids=["float", "np-float", "str"])
+    def test_point_count_not_an_integer_not_written(self, tmp_path, points):
+        # The reader refuses a count written as "57.0", so the writer does
+        # not write one, and opens no file.
+        model = fitted_model(np.random.default_rng(73), n=50, dim=2)
+        with pytest.raises(InvalidInputError, match="point count .* is not an integer"):
+            model_to_text(model, points)
+        with pytest.raises(InvalidInputError, match="point count .* is not an integer"):
             save_model(model, tmp_path / "model.ckpt", points)
         assert list(tmp_path.iterdir()) == []
 

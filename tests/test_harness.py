@@ -18,7 +18,6 @@ from driftwatch.harness import (
     gen_shift_stream,
     run_experiment_1,
     run_experiment_2,
-    shift_offsets,
     write_reports_csv,
 )
 
@@ -340,34 +339,34 @@ class TestGenerators:
     def test_zero_magnitude_transient_matches_base(self):
         spec = ShiftSpec(kind="abrupt-transient", at=0.4, magnitude=0.0)
         base = np.random.default_rng(9).standard_normal(100)
-        np.testing.assert_array_equal(gen_shift_stream(100, spec, seed=9), base)
+        np.testing.assert_array_equal(gen_shift_stream(100, 1, 9, spec)[:, 0], base)
 
     def test_transient_touches_exactly_one_point(self):
         spec = ShiftSpec(kind="abrupt-transient", at=0.3, magnitude=4.0)
         flat = ShiftSpec(kind="abrupt-transient", at=0.3, magnitude=0.0)
-        diff = gen_shift_stream(200, spec, seed=31) - gen_shift_stream(200, flat, seed=31)
+        diff = gen_shift_stream(200, 1, 31, spec)[:, 0] - gen_shift_stream(200, 1, 31, flat)[:, 0]
         assert np.count_nonzero(diff) == 1
         assert diff[int(0.3 * 200)] == pytest.approx(4.0, rel=1e-15)
 
     def test_distributional_shift_moves_second_half_mean(self):
         spec = ShiftSpec(kind="abrupt-distributional", at=0.5, magnitude=5.0)
-        stream = gen_shift_stream(1000, spec, seed=37)
+        stream = gen_shift_stream(1000, 1, 37, spec)[:, 0]
         assert abs(stream[500:].mean() - 5.0) < 0.2
         assert abs(stream[:500].mean()) < 0.2
 
     def test_gradual_ramp_has_bounded_steps(self):
         count = 400
         spec = ShiftSpec(kind="gradual-distributional", at=0.25, magnitude=8.0, ramp=count // 2)
-        offsets = shift_offsets(count, spec)
+        stream = gen_shift_stream(count, 1, 41, spec)[:, 0]
+        offsets = stream - gen_random_stream(count, 1, 41)[:, 0]
         steps = np.diff(offsets)
         assert steps.max() <= 8.0 / (count // 2) + 1e-12
         assert offsets[-1] == pytest.approx(8.0)
-        stream = gen_shift_stream(count, spec, seed=41)
         assert np.abs(np.diff(stream)).max() <= 8.0 / (count // 2) + 6.0
 
     def test_shift_stream_requires_ten_points(self):
         with pytest.raises(InvalidInputError):
-            gen_shift_stream(9, ShiftSpec(kind="abrupt-transient"), seed=0)
+            gen_shift_stream(9, 1, 0, ShiftSpec(kind="abrupt-transient"))
 
     def test_shift_spec_validation(self):
         with pytest.raises(InvalidInputError):
