@@ -43,8 +43,9 @@ class PewmaParams:
     warmup_T: number of leading points scored but never flagged; the
         first warmup_T - 1 of them set the exact running mean, and point
         warmup_T already takes the density-weighted rate.
-    sigma_floor: lower clamp for the standard-deviation estimate; its
-        square, the clamp on the variance, must be a nonzero finite float.
+    sigma_floor: lower clamp, finite and > 0, on the standard deviation
+        sqrt(var) that standardizes each point; it is absolute, so a stream
+        whose spread is near or below it needs a lower floor.
     """
 
     alpha: float = 0.98
@@ -58,27 +59,24 @@ class PewmaParams:
             raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha}")
         if not (0.0 <= self.beta <= 1.0):
             raise InvalidInputError(f"beta must be in [0, 1], got {self.beta}")
+        # None only where it is the default: DetectorConfig's, resolved per mode.
+        if self.tau is None and type(self).tau is not None:
+            raise InvalidInputError("tau must be finite and >= 0, got None")
         check_tau(self.tau)
         if self.warmup_T < 1:
             raise InvalidInputError(f"warmup_T must be >= 1, got {self.warmup_T}")
-        floor_sq = self.sigma_floor * self.sigma_floor  # pewma_step's clamp on var
-        if not (self.sigma_floor > 0.0 and floor_sq > 0.0 and math.isfinite(floor_sq)):
-            raise InvalidInputError(
-                f"sigma_floor must be > 0 with a nonzero finite square, got {self.sigma_floor}")
+        if not (math.isfinite(self.sigma_floor) and self.sigma_floor > 0.0):
+            raise InvalidInputError(f"sigma_floor must be finite and > 0, got {self.sigma_floor}")
 
 
 @dataclass(slots=True)
 class PewmaState:
-    """Running estimates after absorbing ``t`` points.
-
-    ``mean`` and ``sigma_hat`` (the floored square root of ``var``) are the
-    estimates that will be used to standardize the next point.
-    """
+    """Running mean and variance after absorbing ``t`` points; the next
+    point is standardized by ``mean`` and max(sqrt(var), sigma_floor)."""
 
     mean: float
     var: float
     t: int
-    sigma_hat: float
 
 
 @dataclass(slots=True)
@@ -100,7 +98,7 @@ def pewma_init(x1: float, params: PewmaParams) -> PewmaState:
     """State after the first observation: mean x1, variance 0."""
     if not math.isfinite(x1):
         raise InvalidInputError(f"first observation must be finite, got {x1}")
-    return PewmaState(x1, 0.0, 1, params.sigma_floor)
+    return PewmaState(x1, 0.0, 1)
 
 
 def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaState, Verdict]:
@@ -119,7 +117,8 @@ def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaS
         raise InvalidInputError(f"observation must be finite, got {x}")
 
     diff = x - state.mean
-    z = diff / state.sigma_hat
+    # max's first argument wins a NaN var, which then scores NaN, not the floor.
+    z = diff / max(math.sqrt(state.var), params.sigma_floor)
     density = INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
     t_in = state.t + 1
@@ -130,11 +129,10 @@ def pewma_step(state: PewmaState, x: float, params: PewmaParams) -> tuple[PewmaS
 
     mean = state.mean + (1.0 - a_t) * diff
     var = a_t * state.var + a_t * (1.0 - a_t) * diff * diff
-    sigma = math.sqrt(max(var, params.sigma_floor * params.sigma_floor))
 
     verdict = Verdict(LOG_INV_SQRT_2PI - 0.5 * z * z, density, z * z,
                       density < params.tau and t_in > params.warmup_T)
-    return PewmaState(mean, var, t_in, sigma), verdict
+    return PewmaState(mean, var, t_in), verdict
 
 
 def ewma_step(mean: float, x: float, alpha: float) -> float:

@@ -106,7 +106,7 @@ def test_criterion_03_long_run_consistency():
 
 def test_criterion_04_pewma_three_sigma_calibration():
     params = PewmaParams()  # alpha=0.98, beta=0.98, tau=0.0044, warmup 30
-    state = PewmaState(mean=0.0, var=1.0, t=50, sigma_hat=1.0)
+    state = PewmaState(mean=0.0, var=1.0, t=50)
     _, at3 = pewma_step(state, 3.0, params)
     _, beyond = pewma_step(state, 3.01, params)
     _, inside = pewma_step(state, 2.99, params)

@@ -120,6 +120,7 @@ class TestDetectDefaults:
         # The PEWMA fields and their defaults are PewmaParams' own: declared once.
         assert set(DetectorConfig.__annotations__) == {"tau", "mode", "static_count_points"}
         assert DetectorConfig().tau is None
+        assert DetectorConfig(tau=None, mode="multivariate").tau is None
 
     def test_flags_default_to_the_config(self):
         flags = {p.name: p.default for p in detect.params}
@@ -180,14 +181,11 @@ class TestDetectUnivariate:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("floor", ["1e-170", "1e200"])
-    def test_sigma_floor_whose_square_is_not_a_positive_float_is_usage_error(self, runner,
-                                                                             floor):
-        # pewma_step clamps var at floor²: 0 made σ̂ = 0 and z a ZeroDivisionError.
-        result = runner.invoke(main, ["detect", "--sigma-floor", floor], input="1\n1\n1\n1\n")
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert result.stdout == ""
-        assert "sigma_floor must be" in result.stderr
+    def test_sigma_floor_whose_square_is_not_a_positive_float_runs(self, runner, floor):
+        # The floor clamps sqrt(var), so its square, 0 or inf here, is never formed.
+        result = runner.invoke(main, ["detect", "--sigma-floor", floor], input="1\n1\n1\n2\n")
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()) == 4
         assert "Traceback" not in result.stderr
 
     def test_first_verdict_is_not_mutated(self):
@@ -895,21 +893,25 @@ class TestOutputContract:
             model = update_online(model, x)
         assert result.stdout == "".join(expected)
 
+    @pytest.mark.parametrize("floor", [None, 1e-20, 0.5])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_univariate(self, runner, fmt):
+    def test_univariate(self, runner, fmt, floor):
         spec = ShiftSpec(kind="abrupt-distributional", at=0.5, magnitude=5.0)
         values = gen_shift_stream(300, 1, 3, spec)[:, 0].tolist()
         lines = [f"{v:.17g}" for v in values]
         lines.insert(100, "abc")
-        result = runner.invoke(main, ["detect", "--format", fmt], input="\n".join(lines) + "\n")
+        args = ["detect", "--format", fmt]
+        if floor is not None:
+            args += ["--sigma-floor", repr(floor)]
+        result = runner.invoke(main, args, input="\n".join(lines) + "\n")
         assert result.exit_code == 1
 
-        params = PewmaParams()
+        params = PewmaParams() if floor is None else PewmaParams(sigma_floor=floor)
         state = pewma_init(values[0], params)
         log_peak = math.log(INV_SQRT_2PI)
         expected = [self.line(fmt, 0, [values[0]], INV_SQRT_2PI, log_peak, False)]
         for index, value in enumerate(values[1:], start=1):
-            z = (value - state.mean) / state.sigma_hat
+            z = (value - state.mean) / math.sqrt(max(state.var, params.sigma_floor**2))
             state, point = pewma_step(state, value, params)
             log_score = log_peak - 0.5 * z * z
             expected.append(self.line(fmt, index, [value], point.density, log_score,

@@ -450,7 +450,7 @@ class TestScore:
     def test_matches_pewma_density_for_unit_variance(self):
         model = fit_static(np.array([-1.0, 0.0, 1.0]))
         params = PewmaParams()
-        state = PewmaState(mean=0.0, var=1.0, t=100, sigma_hat=1.0)
+        state = PewmaState(mean=0.0, var=1.0, t=100)
         for x in (-2.5, -0.3, 0.0, 1.7, 3.2):
             _, point = pewma_step(state, x, params)
             verdict = score(model, np.array([x]), tau=params.tau)

@@ -55,6 +55,10 @@ class TestParamsValidation:
             {"tau": -1.0},
             {"warmup_T": 0},
             {"sigma_floor": 0.0},
+            {"tau": None},  # pewma_step compares the density with it
+            {"sigma_floor": -1.0},
+            {"sigma_floor": math.inf},
+            {"sigma_floor": math.nan},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
@@ -62,11 +66,14 @@ class TestParamsValidation:
             PewmaParams(**kwargs)
 
     @pytest.mark.parametrize("floor", [1e-170, 1e200])
-    def test_rejects_a_floor_whose_square_is_not_a_positive_float(self, floor):
-        # pewma_step clamps var at floor²: a square of 0 left σ̂ = 0 on a constant
-        # stream and made the next z a ZeroDivisionError.
-        with pytest.raises(InvalidInputError, match="sigma_floor must be"):
-            PewmaParams(sigma_floor=floor)
+    def test_runs_a_floor_whose_square_is_not_a_positive_float(self, floor):
+        # The floor clamps sqrt(var), so its square, 0 or inf here, is never formed.
+        stream = [1.0] * 40 + [2.0]
+        _, scored = run_stream(stream, PewmaParams(sigma_floor=floor))
+        assert len(scored) == len(stream) - 1
+        assert all(point.mahalanobis_sq == 0.0 for point in scored[:-1])
+        z = 1.0 / floor
+        assert scored[-1].mahalanobis_sq == z * z
 
 
 class TestPewmaStep:
@@ -82,7 +89,7 @@ class TestPewmaStep:
 
     def test_three_sigma_density_straddles_tau(self):
         params = PewmaParams()
-        state = PewmaState(mean=0.0, var=1.0, t=50, sigma_hat=1.0)
+        state = PewmaState(mean=0.0, var=1.0, t=50)
         _, at3 = pewma_step(state, 3.0, params)
         assert at3.density == pytest.approx(0.00443, abs=1e-5)
         assert not at3.is_anomaly
@@ -115,7 +122,7 @@ class TestPewmaStep:
             state = updated
 
     def test_uninitialized_state_rejected(self):
-        bad = PewmaState(mean=0.0, var=0.0, t=0, sigma_hat=1.0)
+        bad = PewmaState(mean=0.0, var=0.0, t=0)
         with pytest.raises(InvalidInputError, match="absorbed no points"):
             pewma_step(bad, 1.0, PewmaParams())
 
@@ -132,11 +139,31 @@ class TestPewmaStep:
             assert 0.0 <= point.density <= INV_SQRT_2PI
 
     def test_sigma_never_below_floor(self):
+        # A constant stream keeps var = 0, so a point d above it is standardized
+        # by the floor: z² = (d / floor)².
         params = PewmaParams(sigma_floor=1e-6)
         state = pewma_init(1.0, params)
+        d = (1.0 + 3e-6) - 1.0
         for _ in range(199):
             state, _ = pewma_step(state, 1.0, params)
-            assert state.sigma_hat >= params.sigma_floor
+            _, point = pewma_step(state, 1.0 + 3e-6, params)
+            z = d / params.sigma_floor
+            assert point.mahalanobis_sq == z * z
+
+    def test_floor_is_absolute(self):
+        # A 5σ step in N(0,1), then the same stream scaled by 2**-30 (exact in
+        # binary): at the default floor the small stream flags nothing, and at
+        # a floor far below its spread it scores as the unit stream does from
+        # the third point on, when var first exceeds either floor.
+        stream = np.random.default_rng(0).standard_normal(4000)
+        stream[2000:] += 5.0
+        _, unit = run_stream(stream, PewmaParams())
+        _, blind = run_stream(stream * 2.0**-30, PewmaParams())
+        _, scaled = run_stream(stream * 2.0**-30, PewmaParams(sigma_floor=1e-20))
+        assert any(point.is_anomaly for point in unit[1999:2049])  # points 2000-2049
+        assert not any(point.is_anomaly for point in blind)
+        assert [p.is_anomaly for p in scaled] == [p.is_anomaly for p in unit]
+        assert [p.mahalanobis_sq for p in scaled[1:]] == [p.mahalanobis_sq for p in unit[1:]]
 
     def test_warmup_points_never_flagged(self):
         # A wild outlier inside the warmup window must stay unflagged.
