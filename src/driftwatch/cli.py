@@ -46,6 +46,7 @@ np = LazyNumpy(__name__)
 EXIT_OK = 0
 EXIT_SKIPPED_LINES = 1
 EXIT_FATAL = 2
+OUTPUT_CLOSED = "fatal: output closed\n"
 
 
 @dataclass(frozen=True)
@@ -173,58 +174,63 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
     rejected: list[int] = []
     fatal = False
 
-    if config.mode == "univariate":
-        params = config if config.tau is not None else replace(config, tau=PewmaParams.tau)
-        state = None
-        values = _data_lines(lines, header, _parse_scalar, err, rejected)
-        for index, (_, echo, value) in enumerate(values):
-            if state is None:
-                state, verdict = pewma_init(value, params), FIRST_VERDICT
-            else:
-                state, verdict = pewma_step(state, value, params)
-            emit(index, echo, [value], verdict)
-    else:
-        model = dim = None
-        consumed = 0  # data points read before any fatal line, the checkpoint's count included
-        buffer: list[list[float]] = []
-        if checkpoint is not None and os.path.exists(checkpoint):
-            model, consumed = load_checkpoint(checkpoint)
-            dim = model.m
+    try:
+        if config.mode == "univariate":
+            params = config if config.tau is not None else replace(config, tau=PewmaParams.tau)
+            state = None
+            values = _data_lines(lines, header, _parse_scalar, err, rejected)
+            for index, (_, echo, value) in enumerate(values):
+                if state is None:
+                    state, verdict = pewma_init(value, params), FIRST_VERDICT
+                else:
+                    state, verdict = pewma_step(state, value, params)
+                emit(index, echo, [value], verdict)
+        else:
+            model = dim = None
+            consumed = 0  # points read before a fatal line or failed write, the checkpoint's too
+            buffer: list[list[float]] = []
+            if checkpoint is not None and os.path.exists(checkpoint):
+                model, consumed = load_checkpoint(checkpoint)
+                dim = model.m
 
-        points = _data_lines(lines, header, _parse_vector, err, rejected)
-        for index, (line_no, echo, values) in enumerate(points, start=consumed):
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                err.write(f"line {line_no}: fatal: dimension changed from {dim} to {len(values)}\n")
-                fatal = True
-                break
-            consumed = index + 1
-            if model is None:
-                buffer.append(values)
-                if len(buffer) >= config.static_count_points:
-                    try:
-                        model = fit_static(np.asarray(buffer))
-                    except InvalidInputError as exc:
-                        err.write(f"fatal: static fit failed: {exc}\n")
-                        fatal = True
-                        break
-                    buffer.clear()
-            else:
-                x = np.array(values)
-                emit(index, echo, values, score(model, x, config.tau))
-                model = update_online(model, x)
+            points = _data_lines(lines, header, _parse_vector, err, rejected)
+            for index, (line_no, echo, values) in enumerate(points, start=consumed):
+                if dim is None:
+                    dim = len(values)
+                elif len(values) != dim:
+                    err.write(f"line {line_no}: fatal: dimension changed from {dim} "
+                              f"to {len(values)}\n")
+                    fatal = True
+                    break
+                if model is None:
+                    buffer.append(values)
+                    if len(buffer) >= config.static_count_points:
+                        try:
+                            model = fit_static(np.asarray(buffer))
+                        except InvalidInputError as exc:
+                            err.write(f"fatal: static fit failed: {exc}\n")
+                            fatal = True
+                            break
+                        buffer.clear()
+                else:
+                    x = np.array(values)
+                    emit(index, echo, values, score(model, x, config.tau))
+                    model = update_online(model, x)
+                consumed = index + 1
+    except BrokenPipeError:  # a verdict's write: its point is neither absorbed nor counted
+        err.write(OUTPUT_CLOSED)
+        fatal = True
 
-        if checkpoint is not None and model is not None:
-            try:
-                save_model(model, checkpoint, consumed)
-            except OSError as exc:
-                err.write(f"fatal: checkpoint not saved: {exc}\n")
-                fatal = True
-        elif checkpoint is not None and buffer and not fatal:  # resuming would fit on later points
-            err.write(f"fatal: stream ended after {len(buffer)} of {config.static_count_points} "
-                      "static points; no checkpoint written\n")
+    if checkpoint is not None and model is not None:  # a checkpoint means multivariate mode
+        try:
+            save_model(model, checkpoint, consumed)
+        except OSError as exc:
+            err.write(f"fatal: checkpoint not saved: {exc}\n")
             fatal = True
+    elif checkpoint is not None and buffer and not fatal:  # resuming would fit on later points
+        err.write(f"fatal: stream ended after {len(buffer)} of {config.static_count_points} "
+                  "static points; no checkpoint written\n")
+        fatal = True
     return EXIT_FATAL if fatal else EXIT_SKIPPED_LINES if rejected else EXIT_OK
 
 
@@ -266,6 +272,13 @@ def detect(ctx, input_file, fmt, header, checkpoint, **settings):
         )
     except InvalidInputError as exc:
         raise click.UsageError(str(exc)) from exc
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # fd 1 to devnull, so the flush at exit has no error to print
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code != EXIT_FATAL:  # a run reports only its first failure
+            sys.stderr.write(OUTPUT_CLOSED)
+            code = EXIT_FATAL
     ctx.exit(code)
 
 

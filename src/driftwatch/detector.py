@@ -179,8 +179,7 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
     ‖A u - d‖₂ <= ``DRIFT_LIMIT`` ‖d‖₂, both norms by ``math.hypot``, which
     does not overflow where ‖d‖₂² would.
     Any other point is ``update_many(model, x[None, :])``, which refuses it
-    or rebuilds A, B and the log-determinant exactly; a point whose rebuild
-    is rank-deficient even with jitter is refused, and the model returned.
+    or rebuilds A, B and the log-determinant exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     m = model.m
@@ -210,13 +209,7 @@ def update_online(model: GaussianModel, x) -> GaussianModel:
         return GaussianModel(m, n, total, total / n, alpha * model.s,
                              root + np.multiply.outer(v, u), log_det, model.blend, updates,
                              model.jitter_used)
-    # A non-finite entry fails the test above, so only here is x checked.
-    if not np.isfinite(x).all():
-        raise InvalidInputError("point contains non-finite entries")
-    try:
-        return update_many(model, x[None, :])
-    except InvalidInputError:  # rank-deficient even with jitter
-        return model
+    return update_many(model, x[None, :])
 
 
 def update_many(model: GaussianModel, xs) -> GaussianModel:
@@ -239,16 +232,17 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     residual rows; ``updates_since_refactor`` is 0. Those m + K rows, and
     the prefix sums they are made from, are built in place in one
     (m + K + 1, m) buffer. Any jitter the QR needs is added to the
-    covariance and to ``jitter_used``. An empty batch, or one whose rows are
-    all refused, returns the model unchanged. Rows that are non-finite or
-    not of length m raise InvalidInputError, as in ``update_online``.
+    covariance and to ``jitter_used``. An empty batch, one whose rows are
+    all refused, or one whose QR is rank-deficient even with jitter returns
+    the model unchanged. Rows that are non-finite or not of length m raise
+    InvalidInputError.
     """
     xs = np.asarray(xs, dtype=np.float64)
     m = model.m
     if xs.ndim != 2 or xs.shape[1] != m:
         raise InvalidInputError(f"expected rows of length {m}, got shape {xs.shape}")
     if not np.isfinite(xs).all():
-        raise InvalidInputError("batch contains non-finite entries")
+        raise InvalidInputError("point contains non-finite entries")
     alpha, beta = model.blend.alpha, model.blend.beta
     with np.errstate(over="ignore", invalid="ignore"):  # huge rows overflow q or the sum; refused
         u = (xs - model.mu) @ model.root[m:]
@@ -281,7 +275,10 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     resid *= (math.sqrt(beta) * alpha ** (0.5 * np.arange(k - 1, -1, -1.0)))[:, None]
     np.multiply(math.sqrt(alpha**k * model.s), model.root[:m].T, out=rows[:m])
     # A copy, so the model keeps no view of the buffer.
-    return _factored(model.n + k, sums[-1].copy(), model.blend, model.jitter_used, rows[:-1])
+    try:
+        return _factored(model.n + k, sums[-1].copy(), model.blend, model.jitter_used, rows[:-1])
+    except InvalidInputError:  # rank-deficient even with jitter: refused
+        return model
 
 
 @errstate(over="ignore", invalid="ignore")  # a huge x scores d² = inf

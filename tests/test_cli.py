@@ -812,6 +812,67 @@ assert code == 0 and out.getvalue().endswith(",true\\n"), (code, out.getvalue())
         assert result.stderr == ""
 
 
+class TestClosedReader:
+    """A reader that closes stdout early, as ``detect FILE | head -1`` does,
+    ends the run with one fatal line and exit 2, with and without
+    ``PYTHONUNBUFFERED``. A multivariate run saves its checkpoint first,
+    without the point whose verdict failed to write, so a run resumed on the
+    lines after its count prints what the uninterrupted run prints."""
+
+    @staticmethod
+    def spawn(args, unbuffered, stdin):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen([sys.executable, "-m", "driftwatch.cli", "detect", *args],
+                                stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("mode", ["univariate", "multivariate"])
+    def test_head_one(self, tmp_path, mode, unbuffered):
+        # More than 1 MiB of verdicts, so a write fails whatever the pipe holds.
+        dim, count = (15, 5000) if mode == "multivariate" else (1, 20000)
+        stream = gen_shift_stream(count, dim, 7, ShiftSpec("abrupt-distributional"))
+        lines = [",".join(map(repr, row)) + "\n" for row in stream.tolist()]
+        points = tmp_path / "points.csv"
+        points.write_text("".join(lines))
+        ckpt = tmp_path / "model.ckpt"
+        args = ["--mode", mode, str(points)]
+        if mode == "multivariate":
+            args += ["--checkpoint", str(ckpt)]
+        with self.spawn(args, unbuffered, subprocess.DEVNULL) as proc:
+            assert proc.stdout.readline().startswith(b"100," if mode == "multivariate" else b"0,")
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 2
+            assert proc.stderr.read() == b"fatal: output closed\n"
+        config = DetectorConfig(mode=mode)
+        whole = io.StringIO()
+        assert run_detect(lines, config, whole, io.StringIO()) == 0
+        assert len(whole.getvalue()) > 2**20
+        if mode == "multivariate":
+            consumed = load_checkpoint(ckpt)[1]
+            assert 100 < consumed < count
+            resumed = io.StringIO()
+            assert run_detect(lines[consumed:], config, resumed, io.StringIO(),
+                              checkpoint=str(ckpt)) == 0
+            expected = whole.getvalue().splitlines(keepends=True)[consumed - 100 :]
+            assert resumed.getvalue() == "".join(expected)
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_before_the_first_write(self, unbuffered):
+        # Buffered, three verdicts fit in stdout's buffer, so the one write
+        # that fails is the flush before exit.
+        with self.spawn([], unbuffered, subprocess.PIPE) as proc:
+            proc.stdout.close()
+            proc.stdin.write(b"1\n2\n3\n")
+            proc.stdin.close()
+            assert proc.wait(timeout=120) == 2
+            assert proc.stderr.read() == b"fatal: output closed\n"
+
+
 class TestNoTraceback:
     """Seeded random byte streams through ``detect`` in both modes, with and
     without ``--header`` and ``--format jsonl``: every run exits 0, 1 or 2,

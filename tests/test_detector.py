@@ -1020,16 +1020,17 @@ class TestOnePointBatch:
         assert update_many(model, x[None]) is model
 
     def test_unfactorizable_rebuild_returns_the_model(self):
-        # The rank-one C of TestUpdateOnline's unfactorizable rebuild: the
-        # batch of one raises, and update_online refuses the point.
+        # The rank-one C of TestUpdateOnline's unfactorizable rebuild:
+        # update_many refuses the batch of one, and of two, as update_online
+        # refuses the point.
         model = GaussianModel(
             m=2, n=100, total=np.zeros(2), mu=np.zeros(2), s=1.0,
             root=stacked(1e20 * np.array([[1.0, 0.0], [1.0, 0.0]]), np.eye(2) / 1e20), log_det=0.0,
             blend=derive_blend(100), updates_since_refactor=REFACTOR_EVERY - 1,
         )
         x = np.array([1e20, 1e20])
-        with pytest.raises(InvalidInputError, match="rank-deficient even with jitter"):
-            update_many(model, x[None])
+        assert update_many(model, x[None]) is model
+        assert update_many(model, np.stack([x, x])) is model
         assert update_online(model, x) is model
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])

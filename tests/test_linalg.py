@@ -194,6 +194,10 @@ class TestFactorRankOneUpdate:
         with pytest.raises(InvalidInputError):
             factor_rank_one_update(np.eye(3), np.ones(2), CovBlend(0.9, 0.1))
 
+    def test_non_square_factor_raises(self):
+        with pytest.raises(InvalidInputError, match="must be a square matrix"):
+            factor_rank_one_update(np.ones((2, 3)), np.ones(3), CovBlend(0.9, 0.1))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200])
     def test_non_finite_direction_raises(self, value):
         with pytest.raises(InvalidInputError, match="non-finite"):
@@ -239,6 +243,10 @@ class TestShermanMorrisonUpdate:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             sherman_morrison_update(np.eye(3), np.ones(4), CovBlend(0.5, 0.5))
+
+    def test_non_square_inverse_raises(self):
+        with pytest.raises(InvalidInputError, match="must be a square matrix"):
+            sherman_morrison_update(np.ones((2, 3)), np.ones(3), CovBlend(0.5, 0.5))
 
 
 class TestInverseFromFactor:
