@@ -234,6 +234,29 @@ def run_detect(lines, config: DetectorConfig, out, err, checkpoint=None, header=
     return EXIT_FATAL if fatal else EXIT_SKIPPED_LINES if rejected else EXIT_OK
 
 
+def _one_ending(command):
+    """``command``, which returns its exit code (None for 0), with the ending
+    every command shares: an InvalidInputError is a usage error, stdout is
+    flushed, and a reader that closed early is exit 2 with one fatal line."""
+
+    @functools.wraps(command)
+    def run(**options):
+        code = EXIT_OK
+        try:
+            code = command(**options) or EXIT_OK
+            sys.stdout.flush()
+        except InvalidInputError as exc:
+            raise click.UsageError(str(exc)) from exc
+        except BrokenPipeError:  # fd 1 to devnull, so the flush at exit has no error to print
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if code != EXIT_FATAL:  # a run reports only its first failure
+                sys.stderr.write(OUTPUT_CLOSED)
+                code = EXIT_FATAL
+        click.get_current_context().exit(code)
+
+    return run
+
+
 @click.group()
 def main():
     """Streaming anomaly detection and the experiments around it."""
@@ -257,29 +280,11 @@ def main():
 @click.option("--header", is_flag=True, help="Skip one leading input line.")
 @click.option("--checkpoint", default=None, metavar="PATH",
               help="Model checkpoint to resume from and save to (multivariate only).")
-@click.pass_context
-def detect(ctx, input_file, fmt, header, checkpoint, **settings):
+@_one_ending
+def detect(input_file, fmt, header, checkpoint, **settings):
     """Score a stream of points, one verdict line per scored point."""
-    try:
-        code = run_detect(
-            input_file,
-            DetectorConfig(**settings),
-            sys.stdout,
-            sys.stderr,
-            checkpoint=checkpoint,
-            header=header,
-            fmt=fmt,
-        )
-    except InvalidInputError as exc:
-        raise click.UsageError(str(exc)) from exc
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:  # fd 1 to devnull, so the flush at exit has no error to print
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if code != EXIT_FATAL:  # a run reports only its first failure
-            sys.stderr.write(OUTPUT_CLOSED)
-            code = EXIT_FATAL
-    ctx.exit(code)
+    return run_detect(input_file, DetectorConfig(**settings), sys.stdout, sys.stderr,
+                      checkpoint=checkpoint, header=header, fmt=fmt)
 
 
 @main.command()
@@ -293,12 +298,10 @@ def detect(ctx, input_file, fmt, header, checkpoint, **settings):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--dim", type=int, default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
+@_one_ending
 def simulate(count, seed, dim, fmt, **spec):
     """Emit a synthetic stream, one point per line (CSV for dim > 1)."""
-    try:
-        stream = gen_shift_stream(count, dim, seed, ShiftSpec(**spec))
-    except InvalidInputError as exc:
-        raise click.UsageError(str(exc)) from exc
+    stream = gen_shift_stream(count, dim, seed, ShiftSpec(**spec))
     out = sys.stdout
     if fmt == "jsonl":
         for row in stream.tolist():
@@ -315,6 +318,7 @@ def simulate(count, seed, dim, fmt, **spec):
 @click.option("--dim", type=int, default=15, show_default=True)
 @click.option("--seeds", type=str, default="0", show_default=True,
               help="Comma-separated list of generator seeds.")
+@_one_ending
 def experiment(which, count, dim, seeds):
     """Run a static-vs-online covariance experiment, CSV report to stdout."""
     try:
@@ -327,10 +331,7 @@ def experiment(which, count, dim, seeds):
     runner = run_experiment_1 if which == "1" else run_experiment_2
     rows = []
     for seed in seed_list:
-        try:
-            reports = runner(gen_random_stream(count, dim, seed))
-        except InvalidInputError as exc:
-            raise click.UsageError(str(exc)) from exc
+        reports = runner(gen_random_stream(count, dim, seed))
         rows.extend((int(which), seed, report) for report in reports)
     write_reports_csv(sys.stdout, rows)
 

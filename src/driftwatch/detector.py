@@ -219,7 +219,11 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     A row is refused when q is not finite or its rank-one term would swamp
     C in float64, (beta/alpha) q eps >= 1 with eps the machine epsilon, with
     q taken against the starting mean and inverse; every other row is
-    blended. The residuals d_j = x_j - mu_j of the K blended rows are taken
+    blended. The rows are scored only when one O(K m) bound cannot rule a
+    refusal out: with r the largest |x_ji - mu_i| that the batch's largest
+    and smallest entries allow, every q is at most m r² ‖B‖_F² / s, and when
+    2 (beta/alpha) eps times that is below 1 no row is refused. The bound
+    decides only whether rows are scored, not which. The residuals d_j = x_j - mu_j of the K blended rows are taken
     against the running mean, mu_j = (running sum) / (n + j), one prefix sum
     in the row order ``update_online`` adds them, so the sums and means match
     it bit for bit. A prefix sum that overflows stays non-finite, so the
@@ -241,15 +245,23 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     m = model.m
     if xs.ndim != 2 or xs.shape[1] != m:
         raise InvalidInputError(f"expected rows of length {m}, got shape {xs.shape}")
-    if not np.isfinite(xs).all():
-        raise InvalidInputError("point contains non-finite entries")
     alpha, beta = model.blend.alpha, model.blend.beta
     with np.errstate(over="ignore", invalid="ignore"):  # huge rows overflow q or the sum; refused
-        u = (xs - model.mu) @ model.root[m:]
-        q = np.einsum("ij,ij->i", u, u) / model.s
-        keep = beta / alpha * q * FLOAT_EPS < 1.0  # NaN and inf fail it
-        if not keep.all():
-            xs = xs[keep]
+        if xs.shape[0] == 0:
+            return model
+        # r is inf or NaN where an entry is. B is divided by s before it is
+        # squared, so no product underflows to a bound below some q.
+        mu = model.mu.tolist()
+        r = max(float(xs.max()) - min(mu), max(mu) - float(xs.min()))
+        bt = model.root[m:]
+        if not 2.0 * beta / alpha * m * r * r * float(np.vdot(bt, bt / model.s)) * FLOAT_EPS < 1.0:
+            if not np.isfinite(xs).all():
+                raise InvalidInputError("point contains non-finite entries")
+            u = (xs - model.mu) @ bt
+            q = np.einsum("ij,ij->i", u, u) / model.s
+            keep = beta / alpha * q * FLOAT_EPS < 1.0  # NaN and inf fail it
+            if not keep.all():
+                xs = xs[keep]
         k = xs.shape[0]
         if k == 0:
             return model
