@@ -219,11 +219,7 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     A row is refused when q is not finite or its rank-one term would swamp
     C in float64, (beta/alpha) q eps >= 1 with eps the machine epsilon, with
     q taken against the starting mean and inverse; every other row is
-    blended. The rows are scored only when one O(K m) bound cannot rule a
-    refusal out: with r the largest |x_ji - mu_i| that the batch's largest
-    and smallest entries allow, every q is at most m r² ‖B‖_F² / s, and when
-    2 (beta/alpha) eps times that is below 1 no row is refused. The bound
-    decides only whether rows are scored, not which. The residuals d_j = x_j - mu_j of the K blended rows are taken
+    blended. The residuals d_j = x_j - mu_j of the K blended rows are taken
     against the running mean, mu_j = (running sum) / (n + j), one prefix sum
     in the row order ``update_online`` adds them, so the sums and means match
     it bit for bit. A prefix sum that overflows stays non-finite, so the
@@ -240,6 +236,12 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     all refused, or one whose QR is rank-deficient even with jitter returns
     the model unchanged. Rows that are non-finite or not of length m raise
     InvalidInputError.
+
+    Rows are scored only when one O(K m) bound cannot rule a refusal out:
+    with r the largest |x_ji - mu_i| that the batch's largest and smallest
+    entries allow, every q is at most m r² ‖B‖_F² / s, and when 2 (beta/alpha)
+    eps times that is below 1 no row is refused. The bound decides only
+    whether rows are scored, never which rows are refused.
     """
     xs = np.asarray(xs, dtype=np.float64)
     m = model.m
@@ -249,8 +251,8 @@ def update_many(model: GaussianModel, xs) -> GaussianModel:
     with np.errstate(over="ignore", invalid="ignore"):  # huge rows overflow q or the sum; refused
         if xs.shape[0] == 0:
             return model
-        # r is inf or NaN where an entry is. B is divided by s before it is
-        # squared, so no product underflows to a bound below some q.
+        # r is inf or NaN where an entry is, and the 2 covers rounding. Dividing
+        # B by s before squaring it keeps an underflow from hiding a refusal.
         mu = model.mu.tolist()
         r = max(float(xs.max()) - min(mu), max(mu) - float(xs.min()))
         bt = model.root[m:]

@@ -815,9 +815,10 @@ assert code == 0 and out.getvalue().endswith(",true\\n"), (code, out.getvalue())
 class TestClosedReader:
     """A reader that closes stdout early, as ``detect FILE | head -1`` does,
     ends the run with one fatal line and exit 2, with and without
-    ``PYTHONUNBUFFERED``. A multivariate run saves its checkpoint first,
-    without the point whose verdict failed to write, so a run resumed on the
-    lines after its count prints what the uninterrupted run prints."""
+    ``PYTHONUNBUFFERED``, and so it does for ``simulate`` and ``experiment``.
+    A multivariate run saves its checkpoint first, without the point whose
+    verdict failed to write, so a run resumed on the lines after its count
+    prints what the uninterrupted run prints."""
 
     @staticmethod
     def spawn(args, unbuffered, stdin):
@@ -826,7 +827,7 @@ class TestClosedReader:
         env["PYTHONPATH"] = str(src)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        return subprocess.Popen([sys.executable, "-m", "driftwatch.cli", "detect", *args],
+        return subprocess.Popen([sys.executable, "-m", "driftwatch.cli", *args],
                                 stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                 env=env)
 
@@ -840,7 +841,7 @@ class TestClosedReader:
         points = tmp_path / "points.csv"
         points.write_text("".join(lines))
         ckpt = tmp_path / "model.ckpt"
-        args = ["--mode", mode, str(points)]
+        args = ["detect", "--mode", mode, str(points)]
         if mode == "multivariate":
             args += ["--checkpoint", str(ckpt)]
         with self.spawn(args, unbuffered, subprocess.DEVNULL) as proc:
@@ -865,10 +866,28 @@ class TestClosedReader:
     def test_closed_before_the_first_write(self, unbuffered):
         # Buffered, three verdicts fit in stdout's buffer, so the one write
         # that fails is the flush before exit.
-        with self.spawn([], unbuffered, subprocess.PIPE) as proc:
+        with self.spawn(["detect"], unbuffered, subprocess.PIPE) as proc:
             proc.stdout.close()
             proc.stdin.write(b"1\n2\n3\n")
             proc.stdin.close()
+            assert proc.wait(timeout=120) == 2
+            assert proc.stderr.read() == b"fatal: output closed\n"
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize(
+        "args",
+        [["simulate", "--kind", "abrupt-transient", "--count", "200000", "--seed", "1"],
+         ["experiment", "--which", "1", "--count", "200", "--dim", "3",
+          "--seeds", ",".join(map(str, range(401)))]],
+        ids=["simulate", "experiment"],
+    )
+    def test_other_commands(self, runner, args, unbuffered):
+        # More than 64 KiB, so a write fails whatever the pipe holds.
+        whole = runner.invoke(main, args)
+        assert whole.exit_code == 0 and len(whole.output) > 2**16
+        with self.spawn(args, unbuffered, subprocess.DEVNULL) as proc:
+            assert proc.stdout.readline() == whole.output.encode().splitlines(keepends=True)[0]
+            proc.stdout.close()
             assert proc.wait(timeout=120) == 2
             assert proc.stderr.read() == b"fatal: output closed\n"
 

@@ -336,8 +336,11 @@ class TestUpdateMany:
         update_many(model, rng.standard_normal((20, 3)))
         assert model_to_text(model) == before
 
+    # The batch's norm bound admits it at 1e8; at 2e9 it does not, and the
+    # scored rows are all kept.
     @pytest.mark.parametrize(
-        "value,refused", [(1e8, False), (1e10, True), (1e12, True), (1e200, True)]
+        "value,refused",
+        [(1e8, False), (2e9, False), (1e10, True), (1e12, True), (1e200, True)],
     )
     def test_refuses_what_update_online_refuses(self, value, refused):
         rng = np.random.default_rng(35)
@@ -361,6 +364,62 @@ class TestUpdateMany:
         model = fitted_model(rng)
         with pytest.raises(InvalidInputError):
             update_many(model, xs)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_row_among_finite_rows_raises(self, value):
+        rng = np.random.default_rng(34)
+        model = fitted_model(rng)
+        xs = rng.standard_normal((500, 3))
+        xs[250] = value
+        with pytest.raises(InvalidInputError, match="^point contains non-finite entries$"):
+            update_many(model, xs)
+
+    def test_identical_far_rows_are_refused_whole(self):
+        # The batch spans no range at all, yet every row is far from the mean.
+        rng = np.random.default_rng(38)
+        model = fitted_model(rng, n=100)
+        assert update_many(model, np.full((50, 3), 1e10)) is model
+
+    @staticmethod
+    def scored_admission(model, xs):
+        """The refusal rule applied by scoring every row, then ``update_many``
+        of the rows it keeps."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = (xs - model.mu) @ model.root[model.m :]
+            q = np.einsum("ij,ij->i", u, u) / model.s
+        keep = model.blend.beta / model.blend.alpha * q * FLOAT_EPS < 1.0
+        return update_many(model, xs[keep])
+
+    @pytest.mark.parametrize(
+        "case,scored",
+        [("iid", False), ("offset", False), ("scale-1e-6", False), ("scale-1e6", False),
+         ("offset-one-coordinate", True), ("far-rows", True)],
+    )
+    def test_matches_a_scored_admission(self, monkeypatch, case, scored):
+        # The bound cannot pass where one coordinate sits far from the others.
+        rng = np.random.default_rng(39)
+        data = rng.standard_normal((900, 4))
+        if case == "offset":
+            data += 1e12
+        elif case == "offset-one-coordinate":
+            data[:, 0] += 1e12
+        elif case.startswith("scale"):
+            data *= float(case.split("-", 1)[1])
+        elif case == "far-rows":
+            data[[300, 301, 650]] = [[1e10], [-1e12], [1e200]]
+        model = fit_static(data[:100])
+        xs = data[100:]
+        expected = self.scored_admission(model, xs)
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args) or einsum(*args))
+        batched = update_many(model, xs)
+        assert bool(calls) == scored  # only a batch the bound cannot admit is scored
+        assert batched.n == expected.n == model.n + 800 - 3 * (case == "far-rows")
+        for name in ("root", "total", "mu"):
+            assert np.array_equal(getattr(batched, name), getattr(expected, name)), name
+        for name in ("n", "s", "log_det", "jitter_used"):
+            assert getattr(batched, name) == getattr(expected, name), name
 
 
 class TestBatchBuffers:
